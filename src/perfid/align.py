@@ -21,6 +21,7 @@ import numpy as np
 from .midi_io import Note, NoteList
 
 SKIP_PENALTY = 1.0
+MAX_REFINEMENTS = 2  # time-map refits after the first DP pass in one convergence
 IMPORT_TOLERANCE = 0.030  # seconds; above transcription jitter, below expressive IOIs
 
 
@@ -268,7 +269,7 @@ def _match_cost_proxy(
     return total
 
 
-def align(perf: NoteList, score: NoteList, max_refinements: int = 2) -> Alignment:
+def align(perf: NoteList, score: NoteList) -> Alignment:
     """Optimal monotonic pitch-consistent matching under the DP cost.
 
     The initial time map comes from the greedy pitch pre-match, which
@@ -294,7 +295,7 @@ def align(perf: NoteList, score: NoteList, max_refinements: int = 2) -> Alignmen
 
     def converge(a: float, b: float):
         pairs = _dp_match(perf_on, perf_pitch, a * score_on + b, score_pitch)
-        for _ in range(max_refinements):
+        for _ in range(MAX_REFINEMENTS):
             if len(pairs) < 2:
                 break
             a2, b2 = refit(pairs)

@@ -18,7 +18,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, dataset, features
@@ -26,7 +25,7 @@ from .align import align, export_alignment, info_loss
 from .experiment import pipeline, studies, training
 from .experiment.training import TrainConfig, evaluate, predictions_to_csv
 from .midi_io import parse_midi
-from .neural import desk_config, load_checkpoint
+from .neural import load_checkpoint
 
 
 class UsageError(ValueError):
@@ -192,27 +191,22 @@ def _load_assignment(
 
 
 def _train_config(resolver: _Resolver, n_classes: int) -> TrainConfig:
-    combo = str(resolver.get("combo", "C5"))
-    length = _segment_length(resolver.get("length", 1000))
-    profile = str(resolver.get("profile", "desk"))
-    if profile not in ("desk", "full"):
-        raise UsageError(f"--profile must be desk or full, got {profile!r}")
-    default_lr = studies.DESK_LR if profile == "desk" else 8e-5
+    lr = resolver.get("lr", None)
     try:
-        config = TrainConfig(
+        config = studies.profile_config(
+            str(resolver.get("profile", "desk")),
+            n_classes,
             batch_size=int(resolver.get("batch-size", 16)),
             epochs=int(resolver.get("epochs", 60)),
-            lr=float(resolver.get("lr", default_lr)),
             weight_decay=float(resolver.get("weight-decay", 1e-7)),
-            segment_length=length,
-            combo=combo,
+            segment_length=_segment_length(resolver.get("length", 1000)),
+            combo=str(resolver.get("combo", "C5")),
             seed=int(resolver.get("seed", 0)),
+            **({} if lr is None else {"lr": float(lr)}),
         )
     except (ValueError, features.UnknownCombination) as exc:
         raise UsageError(str(exc)) from exc
-    if profile == "desk":
-        width = len(features.resolve_schema(combo))
-        config = replace(config, model=desk_config(width, n_classes))
+    resolver.resolved["lr"] = config.lr  # the manifest records the profile's lr
     return config
 
 
@@ -281,7 +275,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
     out = resolver.out()
     corpus = _existing_dir(resolver.path("corpus"), "corpus directory")
     combo = str(resolver.get("combo", "C5"))
-    threads = int(resolver.get("threads", 1))
     records = pipeline.load_corpus(corpus)
     _refuse_existing(
         [out / f"{r.id}.f32" for r in records], bool(resolver.get("force", False))
@@ -291,7 +284,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     except features.UnknownCombination as exc:
         raise UsageError(str(exc)) from exc
 
-    matrices = pipeline.extract_corpus(records, corpus, threads=threads)
+    matrices = pipeline.extract_corpus(records, corpus)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = []
     for rec_id in sorted(matrices):
@@ -334,9 +327,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     records = pipeline.load_corpus(corpus)
     assignment = _load_assignment(resolver, records)
     config = _train_config(resolver, len({r.pianist for r in records}))
-    threads = int(resolver.get("threads", 1))
 
-    matrices = pipeline.extract_corpus(records, corpus, threads=threads)
+    matrices = pipeline.extract_corpus(records, corpus)
     sets = pipeline.build_split_sets(matrices, assignment, config.combo)
     result = training.train(config, sets, out_dir=out)
 
@@ -391,8 +383,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if unknown:
         raise PipelineError(f"pianists unseen at training time: {unknown}")
 
-    threads = int(resolver.get("threads", 1))
-    matrices = pipeline.extract_corpus(chosen, corpus, threads=threads)
+    matrices = pipeline.extract_corpus(chosen, corpus)
     schema = features.FeatureSchema(columns=combo_cols)
     prepared = [
         features.apply_normalizer(features.subset(matrices[rid], schema), stats)
@@ -443,7 +434,6 @@ def cmd_study(args: argparse.Namespace) -> int:
     if study_id not in ("study1", "study2", "study3"):
         raise UsageError("--id must be study1, study2, or study3")
     corpus = _existing_dir(resolver.path("corpus"), "corpus directory")
-    profile = str(resolver.get("profile", "desk"))
     _refuse_existing([out / "report.md"], bool(resolver.get("force", False)))
 
     overrides = {}
@@ -454,14 +444,14 @@ def cmd_study(args: argparse.Namespace) -> int:
     length = resolver.get("length", None)
     if length is not None:
         overrides["segment_length"] = _segment_length(str(length))
-    config = studies.desk_train_config(**overrides) if overrides else None
+    config = studies.profile_config(str(resolver.get("profile", "desk")), **overrides)
 
     if study_id == "study3":
         corpus_b = _existing_dir(resolver.path("corpus-b"), "second corpus")
         split_seeds = resolver.seeds_list("split-seeds", "101,102,103,104,105")
         result = studies.study3(
             corpus, corpus_b, out,
-            split_seeds=tuple(split_seeds), config=config, profile=profile,
+            split_seeds=tuple(split_seeds), config=config,
         )
         seeds = split_seeds
         inputs = {"corpus_a": _hash_corpus(corpus), "corpus_b": _hash_corpus(corpus_b)}
@@ -471,8 +461,7 @@ def cmd_study(args: argparse.Namespace) -> int:
         fn = studies.study1 if study_id == "study1" else studies.study2
         result = fn(
             corpus, out,
-            seeds=tuple(seeds), split_seed=split_seed,
-            config=config, profile=profile,
+            seeds=tuple(seeds), split_seed=split_seed, config=config,
         )
         inputs = {"corpus": _hash_corpus(corpus)}
 
@@ -496,10 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="root random seed")
-    common.add_argument(
-        "--threads", type=int, default=None,
-        help="worker threads for per-piece stages (default 1)",
-    )
     common.add_argument("--out", default=None, help="output file or directory")
     common.add_argument(
         "--force", action="store_true", default=None,

@@ -7,7 +7,6 @@ matrix, so sweeping combinations re-uses the same extraction.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +31,7 @@ def load_corpus(root: str | Path) -> list[PerformanceRecord]:
 
 
 def extract_performance(
-    record: PerformanceRecord, root: str | Path, combo: str = "C5"
+    record: PerformanceRecord, root: str | Path
 ) -> features.FeatureMatrix:
     """Parse, align and featurize one performance against its score."""
     root = Path(root)
@@ -41,45 +40,20 @@ def extract_performance(
     alignment = align(perf, score)
     pairs = filter_matched(alignment, perf, score)
     return features.assemble(
-        pairs, combo, label=record.pianist, piece_id=record.id
+        pairs, "C5", label=record.pianist, piece_id=record.id
     )
 
 
 def extract_corpus(
-    records: list[PerformanceRecord],
-    root: str | Path,
-    cache: dict[str, features.FeatureMatrix] | None = None,
-    threads: int = 1,
+    records: list[PerformanceRecord], root: str | Path
 ) -> dict[str, features.FeatureMatrix]:
-    """Full 13-column matrices for every record, keyed by record id.
-
-    ``threads`` bounds worker parallelism; results are identical for any
-    value because the output is keyed, not ordered.
-    """
+    """Full 13-column matrices for every record, keyed by record id."""
     out: dict[str, features.FeatureMatrix] = {}
-    pending = []
     for record in records:
-        if cache is not None and record.id in cache:
-            out[record.id] = cache[record.id]
-        else:
-            pending.append(record)
-
-    def one(record: PerformanceRecord) -> features.FeatureMatrix:
         try:
-            return extract_performance(record, root, "C5")
+            out[record.id] = extract_performance(record, root)
         except (ValueError, KeyError, OSError) as exc:
             raise ExtractionFailed(record.id, exc) from exc
-
-    if threads > 1 and len(pending) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            extracted = list(pool.map(one, pending))
-    else:
-        extracted = [one(r) for r in pending]
-
-    for record, matrix in zip(pending, extracted):
-        out[record.id] = matrix
-        if cache is not None:
-            cache[record.id] = matrix
     return out
 
 

@@ -37,31 +37,37 @@ STUDY2_COMBOS = ("C1", "C2", "C3", "C4", "C5")
 DESK_LR = 1e-3  # workable for the slim model within a 60-epoch budget
 
 
-def desk_train_config(n_classes: int = 6, **overrides) -> TrainConfig:
-    """Desk-profile defaults: 60 epochs, higher lr, slim model per combo."""
-    base = {"lr": DESK_LR, "epochs": 60}
-    base.update(overrides)
-    config = TrainConfig(**base)
+def profile_config(profile: str, n_classes: int = 6, **overrides) -> TrainConfig:
+    """The training settings of a profile; the only code that knows them.
+
+    ``desk`` trains the slim model sized to the combo and class count at
+    ``DESK_LR``; ``full`` leaves ``model=None`` (the reference network)
+    at ``TrainConfig``'s lr. ``overrides`` set any ``TrainConfig`` field.
+    """
+    if profile == "full":
+        return TrainConfig(**overrides)
+    if profile != "desk":
+        raise ValueError(f"profile must be desk or full, got {profile!r}")
+    config = TrainConfig(**{"lr": DESK_LR, **overrides})
     if config.model is None:
         width = len(features.resolve_schema(config.combo))
         config = replace(config, model=desk_config(width, n_classes))
     return config
 
 
+def desk_train_config(n_classes: int = 6, **overrides) -> TrainConfig:
+    """Desk-profile defaults: 60 epochs, higher lr, slim model per combo."""
+    return profile_config("desk", n_classes, **overrides)
+
+
 def _row_config(
-    base: TrainConfig,
-    combo: str,
-    segment_length: int | None,
-    profile: str,
-    n_classes: int,
+    base: TrainConfig, combo: str, segment_length: int | None, n_classes: int
 ) -> TrainConfig:
-    if profile not in ("desk", "full"):
-        raise ValueError(f"unknown profile {profile!r}")
+    """``base`` for one study row; an explicit model is re-sized to the row."""
     model = base.model
-    if profile == "desk":
+    if model is not None:
         width = len(features.resolve_schema(combo))
-        if model is None or (model.in_features, model.n_classes) != (width, n_classes):
-            model = desk_config(in_features=width, n_classes=n_classes)
+        model = replace(model, in_features=width, n_classes=n_classes)
     return replace(base, combo=combo, segment_length=segment_length, model=model)
 
 
@@ -160,7 +166,6 @@ def study1(
     seeds: tuple[int, ...] = (1, 2, 3),
     split_seed: int = 7,
     config: TrainConfig | None = None,
-    profile: str = "desk",
 ) -> dict:
     """Sequence-length sweep at the full feature combination."""
     out_dir = Path(out_dir)
@@ -175,7 +180,7 @@ def study1(
     sweep = []
     for length in STUDY1_LENGTHS:
         name = "Full" if length is None else str(length)
-        cfg = _row_config(base, "C5", length, profile, n_classes)
+        cfg = _row_config(base, "C5", length, n_classes)
         agg = repeat_runs(cfg, list(seeds), sets, out_dir=out_dir / f"len_{name}")
         sweep.append((name, agg))
     return _sweep_report(out_dir, "Input sequence length", "Length", sweep)
@@ -187,7 +192,6 @@ def study2(
     seeds: tuple[int, ...] = (1, 2, 3),
     split_seed: int = 7,
     config: TrainConfig | None = None,
-    profile: str = "desk",
 ) -> dict:
     """Feature-combination sweep at segment length 1000."""
     out_dir = Path(out_dir)
@@ -201,7 +205,7 @@ def study2(
     n_features = []
     for combo in STUDY2_COMBOS:
         sets = build_split_sets(matrices, assignment, combo)
-        cfg = _row_config(base, combo, 1000, profile, len(sets.class_names))
+        cfg = _row_config(base, combo, 1000, len(sets.class_names))
         agg = repeat_runs(cfg, list(seeds), sets, out_dir=out_dir / combo)
         sweep.append((combo, agg))
         n_features.append(len(features.resolve_schema(combo)))
@@ -220,7 +224,6 @@ def study3(
     out_dir: str | Path,
     split_seeds: tuple[int, ...] = (101, 102, 103, 104, 105),
     config: TrainConfig | None = None,
-    profile: str = "desk",
 ) -> dict:
     """Split sensitivity: re-split each corpus and compare accuracy spread.
 
@@ -248,7 +251,6 @@ def study3(
                 replace(base, seed=int(split_seed)),
                 base.combo,
                 base.segment_length,
-                profile,
                 len(sets.class_names),
             )
             run_dir = out_dir / f"corpus{tag}" / f"split{split_seed}"

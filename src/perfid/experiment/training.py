@@ -22,8 +22,6 @@ from ..neural import (
 from .metrics import Metrics, compute_metrics
 from .pipeline import SplitSets
 
-PAPER_EPOCHS = 1500  # the reference schedule; far beyond a desk-scale run
-
 
 class EmptySplit(ValueError):
     """A split contributed no usable training or validation samples."""

@@ -68,12 +68,6 @@ class NoteList:
     def __iter__(self):
         return iter(self.notes)
 
-    def onsets(self) -> list[float]:
-        return [n.onset for n in self.notes]
-
-    def pitches(self) -> list[int]:
-        return [n.pitch for n in self.notes]
-
 
 def _sorted_notes(notes) -> list[Note]:
     return sorted(notes, key=lambda n: (n.onset, n.pitch, n.channel))

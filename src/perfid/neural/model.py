@@ -192,9 +192,6 @@ class PianistConvNet:
         for _, t in self._params:
             t.grad = None
 
-    def reseed_dropout(self, seed: int) -> None:
-        self._dropout_rng = np.random.default_rng(seed)
-
     # -- forward ----------------------------------------------------------
 
     def forward(

@@ -15,8 +15,8 @@ import pytest
 from helpers import tree_hashes
 from perfid import dataset, features
 from perfid.cli import main
-from perfid.experiment import pipeline
-from perfid.neural import load_checkpoint
+from perfid.experiment import pipeline, studies
+from perfid.neural import ModelConfig, desk_config, load_checkpoint
 
 SMALL = [
     "--pianists", "2", "--pieces", "2", "--per-cell", "3",
@@ -457,6 +457,38 @@ def test_study2_mini_sweep(long_corpus, tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["combination"] for r in rows] == ["C1", "C2", "C3", "C4", "C5"]
     assert [int(r["features"]) for r in rows] == [7, 6, 6, 3, 13]
+
+
+@pytest.mark.parametrize("study_id", ["study1", "study2"])
+def test_study_rows_train_the_requested_profile(study_id, corpus, tmp_path, monkeypatch):
+    """``--profile full`` sweeps the reference network; desk the slim one."""
+    rows = []
+
+    def record_row(config, seeds, sets, out_dir=None):
+        rows.append((config, len(sets.class_names)))
+        return {"mean": {}, "std": {}, "formatted": {}}
+
+    monkeypatch.setattr(studies, "repeat_runs", record_row)
+    for profile in ("full", "desk"):
+        argv = [
+            "study", "--id", study_id, "--corpus", str(corpus), "--seeds", "1",
+            "--out", str(tmp_path / profile), "--profile", profile,
+        ]
+        assert main(argv) == 0
+    full, desk = rows[: len(rows) // 2], rows[len(rows) // 2 :]
+
+    for config, n_classes in full:
+        model = config.resolve_model(n_classes)
+        assert config.lr == 8e-5
+        assert model.channels == ModelConfig().channels == (128, 256, 512, 512, 768)
+        assert model.in_features == len(features.resolve_schema(config.combo))
+    if study_id == "study2":
+        config, n_classes = full[0]
+        assert (config.combo, config.resolve_model(n_classes).in_features) == ("C1", 7)
+    for config, n_classes in desk:
+        width = len(features.resolve_schema(config.combo))
+        assert config.lr == studies.DESK_LR
+        assert config.model == desk_config(width, n_classes)
 
 
 def test_study3_mini_split_sensitivity(corpus, tmp_path, capsys):

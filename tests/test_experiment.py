@@ -295,27 +295,16 @@ def corpus_on_disk(tmp_path, n_pieces=2, perf_per_cell=2):
     )
 
 
-def test_extract_corpus_matches_any_thread_count(tmp_path):
+def test_extract_corpus_keys_full_matrices_by_record(tmp_path):
     records = corpus_on_disk(tmp_path)
     assert load_corpus(tmp_path) == records
-    serial = extract_corpus(records, tmp_path, threads=1)
-    threaded = extract_corpus(records, tmp_path, threads=3)
-    assert sorted(serial) == sorted(r.id for r in records)
-    for rec_id, matrix in serial.items():
+    matrices = extract_corpus(records, tmp_path)
+    assert sorted(matrices) == sorted(r.id for r in records)
+    for record in records:
+        matrix = matrices[record.id]
         assert matrix.schema.columns == features.ALL_COLUMNS
         assert matrix.n_notes > 0
-        assert np.array_equal(matrix.rows, threaded[rec_id].rows)
-        assert matrix.label == threaded[rec_id].label
-
-
-def test_extract_corpus_reuses_cache(tmp_path):
-    records = corpus_on_disk(tmp_path)
-    cache = {}
-    first = extract_corpus(records, tmp_path, cache=cache)
-    assert sorted(cache) == sorted(first)
-    second = extract_corpus(records, tmp_path, cache=cache)
-    for rec_id in first:
-        assert second[rec_id] is first[rec_id]
+        assert matrix.label == record.pianist
 
 
 def test_extraction_failure_names_the_record(tmp_path):
