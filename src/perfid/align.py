@@ -6,9 +6,6 @@ onset difference after the score timeline has been affinely mapped onto
 the performance timeline (least-squares fit over a per-pitch greedy
 pre-match), and skipping a note on either side costs 1.0. Unmatched
 performance notes are "extra", unmatched score notes are "missing".
-
-Alignments can also be imported from / exported to a TSV table, which is
-the interchange format for externally produced alignments.
 """
 
 from __future__ import annotations
@@ -22,7 +19,8 @@ from .midi_io import Note, NoteList
 
 SKIP_PENALTY = 1.0
 MAX_REFINEMENTS = 2  # time-map refits after the first DP pass in one convergence
-IMPORT_TOLERANCE = 0.030  # seconds; above transcription jitter, below expressive IOIs
+OFFSET_WINDOW = 0.4  # seconds; width of an anchor-offset plateau
+MAX_OFFSET_CANDIDATES = 8
 
 
 class EmptyInput(ValueError):
@@ -35,14 +33,6 @@ class ZeroNotes(ValueError):
 
 class IndexMismatch(IndexError):
     """Alignment indices do not fit the given note lists."""
-
-
-class UnresolvableRow(ValueError):
-    """Imported row matches no note within tolerance and equal pitch."""
-
-
-class DuplicateMatch(ValueError):
-    """Two imported rows resolve to the same note."""
 
 
 @dataclass
@@ -212,12 +202,7 @@ def _consensus_time_map(
     return a, b
 
 
-def _offset_candidates(
-    score_on: np.ndarray,
-    perf_on: np.ndarray,
-    width: float = 0.4,
-    limit: int = 8,
-) -> list[float]:
+def _offset_candidates(score_on: np.ndarray, perf_on: np.ndarray) -> list[float]:
     """Centres of the densest windows of anchor offsets, densest first.
 
     Cumulative insertion/deletion drift bends the anchor offsets into a
@@ -228,13 +213,13 @@ def _offset_candidates(
     if len(score_on) == 0:
         return []
     d = np.sort(perf_on - score_on)
-    hi = np.searchsorted(d, d + width, side="right")
+    hi = np.searchsorted(d, d + OFFSET_WINDOW, side="right")
     chosen: list[float] = []
     for i in np.argsort(np.arange(len(d)) - hi):  # descending window count
         b = float(d[i:hi[i]].mean())
-        if all(abs(b - c) > width for c in chosen):
+        if all(abs(b - c) > OFFSET_WINDOW for c in chosen):
             chosen.append(b)
-            if len(chosen) == limit:
+            if len(chosen) == MAX_OFFSET_CANDIDATES:
                 break
     return chosen
 
@@ -402,7 +387,7 @@ def filter_matched(alignment: Alignment, perf: NoteList, score: NoteList) -> lis
 def export_alignment(alignment: Alignment, perf: NoteList, score: NoteList) -> str:
     """Alignment as TSV: one row per performance note, then missing rows.
 
-    Unmatched sides carry ``*``. ``import_alignment`` inverts this exactly.
+    Unmatched sides carry ``*``.
     """
     filter_matched(alignment, perf, score)  # bounds check
     score_for_perf = dict(alignment.pairs)
@@ -420,52 +405,3 @@ def export_alignment(alignment: Alignment, perf: NoteList, score: NoteList) -> s
         out.write(f"*\t*\t*\t{j}\t{s.onset:.6f}\t{s.pitch}\n")
     return out.getvalue()
 
-
-def _resolve(onset: float, pitch: int, notes: list[Note], claimed: set[int], what: str) -> int:
-    candidates = [
-        (abs(note.onset - onset), k)
-        for k, note in enumerate(notes)
-        if note.pitch == pitch and abs(note.onset - onset) <= IMPORT_TOLERANCE
-    ]
-    if not candidates:
-        raise UnresolvableRow(
-            f"no {what} note with pitch {pitch} within {IMPORT_TOLERANCE * 1000:.0f} ms of {onset:.6f}"
-        )
-    for _, k in sorted(candidates):
-        if k not in claimed:
-            claimed.add(k)
-            return k
-    raise DuplicateMatch(f"{what} note at {onset:.6f} pitch {pitch} already matched")
-
-
-def import_alignment(table: str, perf: NoteList, score: NoteList) -> Alignment:
-    """Resolve a TSV alignment table against the given note lists.
-
-    Rows are resolved by (onset within 30 ms, equal pitch); the id columns
-    are carried for humans and external tools but are not trusted.
-    """
-    lines = [ln for ln in table.splitlines() if ln.strip()]
-    if not lines or lines[0].split("\t")[0] != "perf_id":
-        raise ValueError("missing alignment table header")
-    pairs: list[tuple[int, int]] = []
-    extra: list[int] = []
-    missing: list[int] = []
-    claimed_p: set[int] = set()
-    claimed_s: set[int] = set()
-    for line in lines[1:]:
-        fields = line.split("\t")
-        if len(fields) != 6:
-            raise ValueError(f"expected 6 columns, got {len(fields)}: {line!r}")
-        _, p_onset, p_pitch, _, s_onset, s_pitch = fields
-        if p_onset == "*" and s_onset == "*":
-            raise ValueError(f"row unmatched on both sides: {line!r}")
-        if s_onset == "*":
-            extra.append(_resolve(float(p_onset), int(p_pitch), perf.notes, claimed_p, "performance"))
-        elif p_onset == "*":
-            missing.append(_resolve(float(s_onset), int(s_pitch), score.notes, claimed_s, "score"))
-        else:
-            i = _resolve(float(p_onset), int(p_pitch), perf.notes, claimed_p, "performance")
-            j = _resolve(float(s_onset), int(s_pitch), score.notes, claimed_s, "score")
-            pairs.append((i, j))
-    pairs.sort()
-    return Alignment(pairs=pairs, missing=sorted(missing), extra=sorted(extra))

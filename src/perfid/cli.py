@@ -180,17 +180,20 @@ def _segment_length(value) -> int | None:
         raise UsageError(f"--length wants an integer or 'full', got {value!r}") from exc
 
 
-def _load_assignment(
-    resolver: _Resolver, records, default_seed: int = 7
-) -> dataset.SplitAssignment:
+def _split_csv(resolver: _Resolver) -> dataset.SplitAssignment | None:
     csv_path = resolver.path("split-csv")
-    if csv_path is not None:
-        _existing_file(csv_path, "split CSV")
-        return dataset.assignment_from_csv(csv_path.read_text())
-    return dataset.split(records, int(resolver.get("split-seed", default_seed)))
+    if csv_path is None:
+        return None
+    _existing_file(csv_path, "split CSV")
+    return dataset.assignment_from_csv(csv_path.read_text())
 
 
-def _train_config(resolver: _Resolver, n_classes: int) -> TrainConfig:
+def _train_config(resolver: _Resolver, n_classes: int = 6) -> TrainConfig:
+    """The ``--profile`` settings with every training flag applied.
+
+    Invalid values are usage errors. ``study`` keeps the default
+    ``n_classes``: each study row re-sizes the model to its corpus.
+    """
     lr = resolver.get("lr", None)
     try:
         config = studies.profile_config(
@@ -325,7 +328,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         bool(resolver.get("force", False)),
     )
     records = pipeline.load_corpus(corpus)
-    assignment = _load_assignment(resolver, records)
+    assignment = _split_csv(resolver)
+    if assignment is None:
+        assignment = dataset.split(records, int(resolver.get("split-seed", 7)))
     config = _train_config(resolver, len({r.pianist for r in records}))
 
     matrices = pipeline.extract_corpus(records, corpus)
@@ -370,11 +375,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
         class_names = list(extras["class_names"])
         combo_cols = tuple(extras["schema"])
         segment_length = extras.get("segment_length")
+        split_seed = extras["split_seed"]
     except KeyError as exc:
         raise PipelineError(f"checkpoint lacks evaluation metadata: {exc}") from exc
 
+    # score the split the model was trained against
     records = pipeline.load_corpus(corpus)
-    assignment = _load_assignment(resolver, records)
+    assignment = _split_csv(resolver)
+    if assignment is None and split_seed is None:
+        raise UsageError("the checkpoint was trained on a split CSV: pass --split-csv")
+    if assignment is not None and split_seed is not None:
+        raise UsageError(
+            f"the checkpoint records split seed {split_seed}: drop --split-csv"
+        )
+    if assignment is None:
+        assignment = dataset.split(records, split_seed)
+    resolver.resolved["split-seed"] = split_seed  # the manifest records it
     wanted = set(assignment.ids(split_name))
     chosen = [r for r in records if r.id in wanted]
     if not chosen:
@@ -436,15 +452,7 @@ def cmd_study(args: argparse.Namespace) -> int:
     corpus = _existing_dir(resolver.path("corpus"), "corpus directory")
     _refuse_existing([out / "report.md"], bool(resolver.get("force", False)))
 
-    overrides = {}
-    for key, cast in (("epochs", int), ("lr", float), ("batch-size", int)):
-        value = resolver.get(key, None)
-        if value is not None:
-            overrides[key.replace("-", "_")] = cast(value)
-    length = resolver.get("length", None)
-    if length is not None:
-        overrides["segment_length"] = _segment_length(str(length))
-    config = studies.profile_config(str(resolver.get("profile", "desk")), **overrides)
+    config = _train_config(resolver)
 
     if study_id == "study3":
         corpus_b = _existing_dir(resolver.path("corpus-b"), "second corpus")
@@ -543,9 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[common], help="score a checkpoint on a split")
     p.add_argument("--checkpoint", default=None, help="checkpoint file")
     p.add_argument("--corpus", default=None, help="corpus directory")
-    p.add_argument("--split-csv", default=None, help="existing split assignment")
-    p.add_argument("--split-seed", type=int, default=None,
-                   help="derive the split from this seed (default 7)")
+    p.add_argument("--split-csv", default=None,
+                   help="the split CSV the checkpoint was trained on "
+                        "(otherwise its recorded split seed is used)")
     p.add_argument("--split", default=None, help="Train, Valid, or Test (default)")
     p.add_argument("--level", default=None, help="segment or piece (default segment)")
     p.add_argument("--length", default=None,

@@ -53,7 +53,7 @@ class PerformanceRecord:
 @dataclass
 class SplitAssignment:
     assignment: dict[str, str]
-    seed: int
+    seed: int | None  # None when read from a CSV
 
     def ids(self, split: str) -> list[str]:
         return [i for i, s in self.assignment.items() if s == split]
@@ -131,7 +131,7 @@ def assignment_to_csv(assignment: SplitAssignment, records: list[PerformanceReco
     return "\n".join(lines) + "\n"
 
 
-def assignment_from_csv(text: str, seed: int = 0) -> SplitAssignment:
+def assignment_from_csv(text: str) -> SplitAssignment:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "id,pianist,composition,split":
         raise ValueError("bad split CSV header")
@@ -141,7 +141,7 @@ def assignment_from_csv(text: str, seed: int = 0) -> SplitAssignment:
         if s not in SPLITS:
             raise ValueError(f"unknown split {s!r}")
         assignment[rec_id] = s
-    return SplitAssignment(assignment=assignment, seed=seed)
+    return SplitAssignment(assignment=assignment, seed=None)
 
 
 def save_registry(records: list[PerformanceRecord], path: str | Path,

@@ -18,7 +18,6 @@ from .training import (
     TrainResult,
     evaluate,
     format_mean_std,
-    parse_mean_std,
     repeat_runs,
     train,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "format_mean_std",
     "from_confusion",
     "load_corpus",
-    "parse_mean_std",
     "repeat_runs",
     "study1",
     "study2",

@@ -66,9 +66,7 @@ class SplitSets:
     test: list[features.FeatureMatrix]
     normalizer: features.NormStats
     class_names: list[str]
-
-    def class_index(self, label: str) -> int:
-        return self.class_names.index(label)
+    split_seed: int | None  # the assignment's seed; None when read from a CSV
 
 
 def build_split_sets(
@@ -104,4 +102,5 @@ def build_split_sets(
         test=normalized["Test"],
         normalizer=stats,
         class_names=class_names,
+        split_seed=assignment.seed,
     )

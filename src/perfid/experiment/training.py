@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -80,7 +79,6 @@ class TrainResult:
     best_epoch: int
     best_valid: Metrics | None
     class_names: list[str]
-    checkpoint_path: Path | None = None
 
 
 @dataclass
@@ -188,7 +186,7 @@ def train(
                     f"step {start // config.batch_size}, lr {config.lr}"
                 )
             loss.backward()
-            adam_step(model.parameters(), None, optimizer)
+            adam_step(model.parameters(), optimizer)
             losses.append(value)
 
         valid_pred = _score_items(model, valid_items, config.batch_size)
@@ -229,11 +227,11 @@ def train(
             "schema": list(sets.normalizer.columns),
             "normalizer": sets.normalizer.to_json(),
             "train_seed": config.seed,
+            "split_seed": sets.split_seed,
             "best_epoch": best_epoch,
             "best_valid_macro_f1": best_valid.macro_f1 if best_valid else None,
         }
-        result.checkpoint_path = out_dir / "checkpoint.bin"
-        save_checkpoint(result.checkpoint_path, model, extras=extras)
+        save_checkpoint(out_dir / "checkpoint.bin", model, extras=extras)
     return result
 
 
@@ -333,16 +331,6 @@ def predictions_to_csv(predictions: list[tuple[str, int, int, int]]) -> str:
 def format_mean_std(mean: float, std: float, decimals: int = 3) -> str:
     """Render the conventional report cell, e.g. ``0.766 (0.024)``."""
     return f"{mean:.{decimals}f} ({std:.{decimals}f})"
-
-
-_MEAN_STD = re.compile(r"^(\d+\.\d+) \((\d+\.\d+)\)$")
-
-
-def parse_mean_std(cell: str) -> tuple[float, float]:
-    match = _MEAN_STD.match(cell.strip())
-    if not match:
-        raise ValueError(f"not a mean (std) cell: {cell!r}")
-    return float(match.group(1)), float(match.group(2))
 
 
 def repeat_runs(

@@ -118,9 +118,6 @@ class FeatureMatrix:
     def n_notes(self) -> int:
         return self.rows.shape[0]
 
-    def column(self, name: str) -> np.ndarray:
-        return self.rows[:, self.schema.index(name)]
-
 
 def _perf_score_arrays(pairs: list[tuple[Note, Note]]):
     perf = np.array(

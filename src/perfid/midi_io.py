@@ -269,10 +269,3 @@ def write_midi(note_list: NoteList) -> bytes:
 
     header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, tpq)
     return header + b"MTrk" + struct.pack(">I", len(body)) + bytes(body)
-
-
-def dump_notes(note_list: NoteList) -> str:
-    """Debug dump: one ``pitch<TAB>onset<TAB>offset<TAB>velocity`` line per note."""
-    return "".join(
-        f"{n.pitch}\t{n.onset:.6f}\t{n.offset:.6f}\t{n.velocity}\n" for n in note_list.notes
-    )

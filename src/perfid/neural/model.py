@@ -176,12 +176,6 @@ class PianistConvNet:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self._params]
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return list(self._params)
-
-    def named_buffers(self) -> list[tuple[str, np.ndarray]]:
-        return list(self._buffers)
-
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
         """Parameters then buffers, in declaration order; checkpoint layout."""
         out = [(name, t.data) for name, t in self._params]

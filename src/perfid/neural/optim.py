@@ -41,30 +41,24 @@ class AdamState:
         self.v = [np.zeros_like(p.data) for p in params]
 
 
-def adam_step(
-    params: list[Tensor],
-    grads: list[np.ndarray] | None,
-    state: AdamState,
-) -> list[Tensor]:
+def adam_step(params: list[Tensor], state: AdamState) -> list[Tensor]:
     """Apply one bias-corrected Adam update in place.
 
-    ``grads`` may be None, in which case each parameter's accumulated
-    ``.grad`` is used. Parameters with a None gradient are skipped.
+    Each parameter steps along its accumulated ``.grad``; parameters
+    whose ``.grad`` is None are skipped.
     """
-    if grads is None:
-        grads = [p.grad for p in params]
-    if len(grads) != len(params) or len(params) != len(state.m):
-        raise ShapeMismatch("params, grads and state must align one-to-one")
+    if len(params) != len(state.m):
+        raise ShapeMismatch("params and state must align one-to-one")
 
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
 
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, m, v in zip(params, state.m, state.v):
+        g = p.grad
         if g is None:
             continue
-        g = np.asarray(g)
         if g.shape != p.data.shape:
             raise ShapeMismatch(
                 f"gradient shape {g.shape} does not match parameter "

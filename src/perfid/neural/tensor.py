@@ -21,7 +21,7 @@ class Tensor:
 
     Parameters are created with ``requires_grad=True``; intermediate
     results inherit the flag from their parents. ``grad`` accumulates
-    across calls until ``zero_grad`` resets it, which lets one batch be
+    across calls until it is reset to None, which lets one batch be
     assembled from several backward passes if needed.
     """
 
@@ -43,9 +43,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph.

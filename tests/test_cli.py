@@ -401,6 +401,42 @@ def test_eval_missing_checkpoint_is_usage_error(corpus, tmp_path):
     assert main(argv) == 2
 
 
+def test_eval_scores_the_split_the_model_was_trained_on(corpus, tmp_path):
+    records = pipeline.load_corpus(corpus)
+    test_ids = set(dataset.split(records, 3).ids("Test"))
+    assert test_ids != set(dataset.split(records, 7).ids("Test"))
+    csv_path = tmp_path / "split3.csv"
+    assert main(["split", "--registry", str(corpus / "registry.json"),
+                 "--seed", "3", "--out", str(csv_path)]) == 0
+
+    def train(name, *split_args):
+        out = tmp_path / name
+        argv = ["train", "--corpus", str(corpus), "--out", str(out),
+                "--epochs", "1", "--length", "full", "--seed", "1", *split_args]
+        assert main(argv) == 0
+        return out / "checkpoint.bin"
+
+    def evaluate(name, ckpt, *split_args):
+        out = tmp_path / name
+        argv = ["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+                "--out", str(out), "--level", "piece", *split_args]
+        code = main(argv)
+        if code != 0:
+            return code
+        with open(out / "predictions.csv") as fh:
+            return {row["piece_id"] for row in csv.DictReader(fh)}
+
+    by_seed = train("seed3", "--split-seed", "3")
+    assert evaluate("ev_seed", by_seed) == test_ids
+    assert load_checkpoint(by_seed)[1]["extras"]["split_seed"] == 3
+    assert evaluate("ev_seed_csv", by_seed, "--split-csv", str(csv_path)) == 2
+
+    by_csv = train("csv3", "--split-csv", str(csv_path))
+    assert load_checkpoint(by_csv)[1]["extras"]["split_seed"] is None
+    assert evaluate("ev_csv_missing", by_csv) == 2
+    assert evaluate("ev_csv", by_csv, "--split-csv", str(csv_path)) == test_ids
+
+
 def test_eval_unknown_pianists_fail(trained, tmp_path, capsys):
     other = tmp_path / "other"
     argv = [
@@ -426,6 +462,8 @@ def test_study_rejects_bad_id_and_seeds(corpus, tmp_path):
     base = ["study", "--corpus", str(corpus), "--out", str(tmp_path / "s")]
     assert main(base + ["--id", "study9"]) == 2
     assert main(base + ["--id", "study1", "--seeds", "1,x"]) == 2
+    assert main(base + ["--id", "study1", "--lr", "0"]) == 2
+    assert main(base + ["--id", "study1", "--batch-size", "1"]) == 2
 
 
 def test_study1_mini_sweep(long_corpus, tmp_path, capsys):

@@ -123,8 +123,9 @@ def test_assignment_csv_round_trip():
     records = make_records([4, 2, 1])
     result = split(records, seed=6)
     text = assignment_to_csv(result, records)
-    back = assignment_from_csv(text, seed=6)
+    back = assignment_from_csv(text)
     assert back.assignment == result.assignment
+    assert (result.seed, back.seed) == (6, None)
 
     with pytest.raises(ValueError):
         assignment_from_csv("wrong,header\n")

@@ -2,6 +2,8 @@
 
 import csv
 import io
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from perfid.experiment import (
     format_mean_std,
     from_confusion,
     load_corpus,
-    parse_mean_std,
     repeat_runs,
     train,
 )
@@ -97,13 +98,14 @@ def test_from_confusion_validation_and_empty():
     assert empty.macro_f1 == 0.0
 
 
+MEAN_STD_CELL = re.compile(r"^\d+\.\d{3} \(\d+\.\d{3}\)$")
+
+
 def test_mean_std_cells():
     assert format_mean_std(0.7662, 0.0244) == "0.766 (0.024)"
-    assert parse_mean_std("0.766 (0.024)") == (0.766, 0.024)
-    mean, std = parse_mean_std(format_mean_std(0.5, 0.01))
-    assert (mean, std) == (0.5, 0.01)
-    with pytest.raises(ValueError):
-        parse_mean_std("0.766 +- 0.024")
+    assert format_mean_std(0.5, 0.01) == "0.500 (0.010)"
+    assert format_mean_std(0.5, 0.01, decimals=1) == "0.5 (0.0)"
+    assert MEAN_STD_CELL.match(format_mean_std(12.0, 0.0))
 
 
 def test_train_config_validation():
@@ -166,7 +168,7 @@ def toy_sets(n_rows=24, seed=0):
     normalize = lambda ms: [features.apply_normalizer(m, stats) for m in ms]
     return SplitSets(
         train=normalize(train), valid=normalize(valid), test=normalize(test),
-        normalizer=stats, class_names=["high", "low"],
+        normalizer=stats, class_names=["high", "low"], split_seed=None,
     )
 
 
@@ -247,8 +249,7 @@ def test_evaluate_argument_errors():
 def test_train_empty_split_errors():
     sets = toy_sets()
     with pytest.raises(EmptySplit):
-        train(toy_config(), SplitSets([], sets.valid, sets.test,
-                                      sets.normalizer, sets.class_names))
+        train(toy_config(), replace(sets, train=[]))
     # pieces shorter than the window leave nothing to train on
     with pytest.raises(EmptySplit):
         train(toy_config(segment_length=1000), sets)
@@ -272,7 +273,7 @@ def test_repeat_runs_aggregates(tmp_path):
     values = [r["piece_accuracy"] for r in agg["runs"]]
     assert agg["mean"]["piece_accuracy"] == pytest.approx(np.mean(values))
     assert agg["std"]["piece_accuracy"] == pytest.approx(np.std(values, ddof=1))
-    assert parse_mean_std(agg["formatted"]["piece_accuracy"])
+    assert MEAN_STD_CELL.match(agg["formatted"]["piece_accuracy"])
     assert (tmp_path / "seed1" / "predictions_piece.csv").exists()
     assert (tmp_path / "seed2" / "checkpoint.bin").exists()
 
@@ -338,7 +339,8 @@ def test_build_split_sets(tmp_path):
     stacked = np.concatenate([m.rows for m in sets.train])
     assert stacked.mean(axis=0) == pytest.approx(np.zeros(3), abs=1e-9)
     assert stacked.std(axis=0) == pytest.approx(np.ones(3), rel=1e-6)
-    assert sets.class_index("pianist_01") == 1
+    assert sets.class_names.index("pianist_01") == 1
+    assert sets.split_seed == 0
 
 
 def test_build_split_sets_skips_unassigned(tmp_path):

@@ -12,7 +12,6 @@ from perfid.midi_io import (
     Note,
     NoteList,
     UnsupportedFormat,
-    dump_notes,
     parse_midi,
     write_midi,
 )
@@ -189,14 +188,6 @@ def test_note_validation():
         Note(pitch=60, onset=0.0, offset=1.0, velocity=0)
     with pytest.raises(ValueError):
         Note(pitch=128, onset=0.0, offset=1.0, velocity=64)
-
-
-def test_dump_notes_format():
-    notes = [Note(60, 0.0, 0.5, 64), Note(72, 0.125, 1.0, 100)]
-    text = dump_notes(NoteList(notes=notes))
-    lines = text.splitlines()
-    assert lines[0] == "60\t0.000000\t0.500000\t64"
-    assert lines[1] == "72\t0.125000\t1.000000\t100"
 
 
 @st.composite
