@@ -1,12 +1,12 @@
 """``perfid``: reproducible pipelines over the library modules.
 
-Every subcommand resolves its settings with one precedence rule
-(explicit flag > ``--config`` JSON > built-in default), writes its
-artifacts under ``--out``, refuses to overwrite existing artifacts
-unless ``--force`` is passed, and drops a manifest describing exactly
-what ran: the resolved configuration, the seeds, and digests of the
-inputs. Re-running a manifest's command reproduces its artifacts byte
-for byte.
+Every subcommand takes its settings from its flags alone; each flag's
+default is defined in ``build_parser`` and shown by ``perfid <cmd>
+--help``. A subcommand writes its artifacts under ``--out``, refuses to
+overwrite existing artifacts unless ``--force`` is passed, and drops a
+manifest describing exactly what ran: every parsed flag, the seeds, and
+digests of the inputs. Re-running a manifest's command reproduces its
+artifacts byte for byte.
 
 Exit codes: 0 success, 1 pipeline failure (diagnostic names the failing
 piece or file), 2 usage error.
@@ -87,7 +87,8 @@ def _write_manifest(
         "version": __version__,
     }
     path = _manifest_path(out)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    # default=str writes the Path-typed flags as strings
+    path.write_text(json.dumps(doc, sort_keys=True, indent=1, default=str) + "\n")
     return path
 
 
@@ -115,102 +116,56 @@ def _existing_dir(path: Path | None, what: str) -> Path:
     return path
 
 
-class _Resolver:
-    """Applies the flag > config-file > default precedence."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config: dict = {}
-        if args.config is not None:
-            cfg_path = _existing_file(Path(args.config), "config file")
-            try:
-                self.config = json.loads(cfg_path.read_text())
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"config file is not valid JSON: {exc}") from exc
-            if not isinstance(self.config, dict):
-                raise UsageError("config file must hold a JSON object")
-        self.resolved: dict = {}
-
-    def get(self, name: str, default=None):
-        flag = getattr(self.args, name.replace("-", "_"), None)
-        if flag is not None:
-            value = flag
-        elif name in self.config:
-            value = self.config[name]
-        else:
-            value = default
-        self.resolved[name] = value
-        return value
-
-    def workdir(self) -> Path:
-        return Path(self.get("workdir", "."))
-
-    def path(self, name: str, default=None) -> Path | None:
-        value = self.get(name, default)
-        if value is None:
-            return None
-        path = Path(value)
-        return path if path.is_absolute() else self.workdir() / path
-
-    def out(self) -> Path:
-        out = self.path("out")
-        if out is None:
-            raise UsageError("--out is required")
-        return out
-
-    def seeds_list(self, name: str, default: str) -> list[int]:
-        raw = self.get(name, default)
-        if isinstance(raw, (list, tuple)):
-            return [int(s) for s in raw]
-        try:
-            return [int(part) for part in str(raw).split(",") if part.strip()]
-        except ValueError as exc:
-            raise UsageError(f"--{name} wants comma-separated integers") from exc
+def _settings(args: argparse.Namespace) -> dict:
+    """The manifest's ``config``: every parsed flag, keyed as on the command line."""
+    skip = ("command", "func")
+    return {k.replace("_", "-"): v for k, v in vars(args).items() if k not in skip}
 
 
-def _segment_length(value) -> int | None:
-    if value is None:
-        return None
-    text = str(value).strip().lower()
-    if text == "full":
-        return None
+def _segment_length(text: str) -> int | str:
+    """``--length``: a number of notes, or ``full`` for whole pieces."""
+    if text.strip().lower() == "full":
+        return "full"
     try:
         return int(text)
-    except ValueError as exc:
-        raise UsageError(f"--length wants an integer or 'full', got {value!r}") from exc
+    except ValueError:
+        raise UsageError(f"--length wants an integer or 'full', got {text!r}") from None
 
 
-def _split_csv(resolver: _Resolver) -> dataset.SplitAssignment | None:
-    csv_path = resolver.path("split-csv")
-    if csv_path is None:
+def _seed_list(text: str) -> list[int]:
+    """``--seeds``/``--split-seeds``: comma-separated integers."""
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise UsageError(f"want comma-separated integers, got {text!r}") from None
+
+
+def _split_csv(path: Path | None) -> dataset.SplitAssignment | None:
+    if path is None:
         return None
-    _existing_file(csv_path, "split CSV")
-    return dataset.assignment_from_csv(csv_path.read_text())
+    return dataset.assignment_from_csv(_existing_file(path, "split CSV").read_text())
 
 
-def _train_config(resolver: _Resolver, n_classes: int = 6) -> TrainConfig:
+def _train_config(args: argparse.Namespace, n_classes: int = 6) -> TrainConfig:
     """The ``--profile`` settings with every training flag applied.
 
     Invalid values are usage errors. ``study`` keeps the default
     ``n_classes``: each study row re-sizes the model to its corpus.
     """
-    lr = resolver.get("lr", None)
+    overrides = {} if args.lr is None else {"lr": args.lr}
+    if args.command == "train":  # study keeps TrainConfig's combo, decay and seed
+        overrides.update(combo=args.combo, weight_decay=args.weight_decay, seed=args.seed)
     try:
-        config = studies.profile_config(
-            str(resolver.get("profile", "desk")),
+        return studies.profile_config(
+            args.profile,
             n_classes,
-            batch_size=int(resolver.get("batch-size", 16)),
-            epochs=int(resolver.get("epochs", 60)),
-            weight_decay=float(resolver.get("weight-decay", 1e-7)),
-            segment_length=_segment_length(resolver.get("length", 1000)),
-            combo=str(resolver.get("combo", "C5")),
-            seed=int(resolver.get("seed", 0)),
-            **({} if lr is None else {"lr": float(lr)}),
+            batch_size=args.batch_size,
+            epochs=args.epochs,
+            segment_length=None if args.length == "full" else args.length,
+            **overrides,
         )
-    except (ValueError, features.UnknownCombination) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    resolver.resolved["lr"] = config.lr  # the manifest records the profile's lr
-    return config
 
 
 # ---------------------------------------------------------------------------
@@ -218,40 +173,27 @@ def _train_config(resolver: _Resolver, n_classes: int = 6) -> TrainConfig:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    resolver = _Resolver(args)
-    out = resolver.out()
-    seed = int(resolver.get("seed", 0))
-    n_pianists = int(resolver.get("pianists", 6))
-    n_pieces = int(resolver.get("pieces", 40))
-    per_cell = int(resolver.get("per-cell", 3))
-    length_min = int(resolver.get("length-min", 1100))
-    length_max = int(resolver.get("length-max", 2200))
-    difficulty = str(resolver.get("difficulty", "easy"))
-    if difficulty == "easy":
-        styles = dataset.default_styles(n_pianists)
-    elif difficulty == "hard":
-        styles = dataset.hard_styles(n_pianists)
-    else:
-        raise UsageError(f"--difficulty must be easy or hard, got {difficulty!r}")
-
-    _refuse_existing([out / "registry.json"], bool(resolver.get("force", False)))
+    out = args.out
+    hard = args.difficulty == "hard"
+    styles = (dataset.hard_styles if hard else dataset.default_styles)(args.pianists)
+    _refuse_existing([out / "registry.json"], args.force)
     records = dataset.synth_generate(
-        styles, n_pieces, per_cell, seed, out, length_range=(length_min, length_max)
+        styles, args.pieces, args.per_cell, args.seed, out,
+        length_range=(args.length_min, args.length_max),
     )
     artifacts = [out / "registry.json"]
     artifacts += [out / r.perf_midi for r in records]
     artifacts += sorted({out / r.score_midi for r in records})
-    _write_manifest(out, "synth", resolver.resolved, [seed], {}, artifacts)
+    _write_manifest(out, "synth", _settings(args), [args.seed], {}, artifacts)
     print(f"wrote {len(records)} performances to {out}")
     return 0
 
 
 def cmd_align(args: argparse.Namespace) -> int:
-    resolver = _Resolver(args)
-    out = resolver.out()
-    perf_path = _existing_file(resolver.path("perf"), "performance MIDI")
-    score_path = _existing_file(resolver.path("score"), "score MIDI")
-    _refuse_existing([out], bool(resolver.get("force", False)))
+    out = args.out
+    perf_path = _existing_file(args.perf, "performance MIDI")
+    score_path = _existing_file(args.score, "score MIDI")
+    _refuse_existing([out], args.force)
 
     try:
         perf = parse_midi(perf_path.read_bytes())
@@ -264,7 +206,7 @@ def cmd_align(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(table)
     inputs = {"perf": _sha256_file(perf_path), "score": _sha256_file(score_path)}
-    _write_manifest(out, "align", resolver.resolved, [], inputs, [out])
+    _write_manifest(out, "align", _settings(args), [], inputs, [out])
     print(
         f"matched {len(alignment.pairs)}, missing {len(alignment.missing)}, "
         f"extra {len(alignment.extra)}, info_loss "
@@ -274,18 +216,11 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    resolver = _Resolver(args)
-    out = resolver.out()
-    corpus = _existing_dir(resolver.path("corpus"), "corpus directory")
-    combo = str(resolver.get("combo", "C5"))
+    out = args.out
+    corpus = _existing_dir(args.corpus, "corpus directory")
     records = pipeline.load_corpus(corpus)
-    _refuse_existing(
-        [out / f"{r.id}.f32" for r in records], bool(resolver.get("force", False))
-    )
-    try:
-        schema = features.resolve_schema(combo)
-    except features.UnknownCombination as exc:
-        raise UsageError(str(exc)) from exc
+    _refuse_existing([out / f"{r.id}.f32" for r in records], args.force)
+    schema = features.resolve_schema(args.combo)
 
     matrices = pipeline.extract_corpus(records, corpus)
     out.mkdir(parents=True, exist_ok=True)
@@ -296,42 +231,40 @@ def cmd_extract(args: argparse.Namespace) -> int:
         features.save_features(matrix, path)
         artifacts += [path, Path(str(path) + ".json")]
     inputs = _hash_corpus(corpus)
-    _write_manifest(out, "extract", resolver.resolved, [], inputs, artifacts)
+    _write_manifest(out, "extract", _settings(args), [], inputs, artifacts)
     print(f"extracted {len(matrices)} matrices ({len(schema)} columns) to {out}")
     return 0
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    resolver = _Resolver(args)
-    out = resolver.out()
-    registry = _existing_file(resolver.path("registry"), "registry")
-    seed = int(resolver.get("seed", 0))
-    _refuse_existing([out], bool(resolver.get("force", False)))
+    out = args.out
+    registry = _existing_file(args.registry, "registry")
+    _refuse_existing([out], args.force)
 
     records = dataset.load_registry(registry)
-    assignment = dataset.split(records, seed)
+    assignment = dataset.split(records, args.seed)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(dataset.assignment_to_csv(assignment, records))
     inputs = {"registry": _sha256_file(registry)}
-    _write_manifest(out, "split", resolver.resolved, [seed], inputs, [out])
+    _write_manifest(out, "split", _settings(args), [args.seed], inputs, [out])
     stats = dataset.split_stats(assignment, records)
     print(json.dumps(stats["splits"], sort_keys=True))
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    resolver = _Resolver(args)
-    out = resolver.out()
-    corpus = _existing_dir(resolver.path("corpus"), "corpus directory")
-    _refuse_existing(
-        [out / "checkpoint.bin", out / "epochs.csv"],
-        bool(resolver.get("force", False)),
-    )
+    out = args.out
+    corpus = _existing_dir(args.corpus, "corpus directory")
+    _refuse_existing([out / "checkpoint.bin", out / "epochs.csv"], args.force)
     records = pipeline.load_corpus(corpus)
-    assignment = _split_csv(resolver)
+    settings = _settings(args)
+    assignment = _split_csv(args.split_csv)
     if assignment is None:
-        assignment = dataset.split(records, int(resolver.get("split-seed", 7)))
-    config = _train_config(resolver, len({r.pianist for r in records}))
+        assignment = dataset.split(records, args.split_seed)
+    else:
+        del settings["split-seed"]  # the CSV fixes the split
+    config = _train_config(args, len({r.pianist for r in records}))
+    settings["lr"] = config.lr  # the profile's lr when --lr is absent
 
     matrices = pipeline.extract_corpus(records, corpus)
     sets = pipeline.build_split_sets(matrices, assignment, config.combo)
@@ -339,9 +272,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     inputs = _hash_corpus(corpus)
     artifacts = [out / "epochs.csv", out / "checkpoint.bin"]
-    _write_manifest(
-        out, "train", resolver.resolved, [config.seed], inputs, artifacts
-    )
+    _write_manifest(out, "train", settings, [config.seed], inputs, artifacts)
     best = result.best_valid
     print(
         f"best epoch {result.best_epoch}: valid accuracy "
@@ -353,20 +284,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    resolver = _Resolver(args)
-    out = resolver.out()
-    corpus = _existing_dir(resolver.path("corpus"), "corpus directory")
-    ckpt_path = _existing_file(resolver.path("checkpoint"), "checkpoint")
-    split_name = str(resolver.get("split", "Test"))
-    if split_name not in dataset.SPLITS:
-        raise UsageError(f"--split must be one of {dataset.SPLITS}")
-    level = str(resolver.get("level", "segment"))
-    if level not in ("segment", "piece"):
-        raise UsageError("--level must be segment or piece")
-    _refuse_existing(
-        [out / "metrics.json", out / "predictions.csv"],
-        bool(resolver.get("force", False)),
-    )
+    out = args.out
+    corpus = _existing_dir(args.corpus, "corpus directory")
+    ckpt_path = _existing_file(args.checkpoint, "checkpoint")
+    _refuse_existing([out / "metrics.json", out / "predictions.csv"], args.force)
 
     model, header = load_checkpoint(ckpt_path)
     extras = header.get("extras", {})
@@ -381,20 +302,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     # score the split the model was trained against
     records = pipeline.load_corpus(corpus)
-    assignment = _split_csv(resolver)
-    if assignment is None and split_seed is None:
-        raise UsageError("the checkpoint was trained on a split CSV: pass --split-csv")
-    if assignment is not None and split_seed is not None:
+    assignment = _split_csv(args.split_csv)
+    if assignment is None:
+        if split_seed is None:
+            raise UsageError("the checkpoint was trained on a split CSV: pass --split-csv")
+        assignment = dataset.split(records, split_seed)
+    elif split_seed is not None:
         raise UsageError(
             f"the checkpoint records split seed {split_seed}: drop --split-csv"
         )
-    if assignment is None:
-        assignment = dataset.split(records, split_seed)
-    resolver.resolved["split-seed"] = split_seed  # the manifest records it
-    wanted = set(assignment.ids(split_name))
+    elif assignment.csv_sha256 != extras.get("split_csv_sha256"):
+        raise UsageError("--split-csv differs from the CSV the checkpoint was trained on")
+    wanted = set(assignment.ids(args.split))
     chosen = [r for r in records if r.id in wanted]
     if not chosen:
-        raise PipelineError(f"split {split_name} selects no performances")
+        raise PipelineError(f"split {args.split} selects no performances")
     unknown = sorted({r.pianist for r in chosen} - set(class_names))
     if unknown:
         raise PipelineError(f"pianists unseen at training time: {unknown}")
@@ -405,21 +327,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
         features.apply_normalizer(features.subset(matrices[rid], schema), stats)
         for rid in sorted(matrices)
     ]
-    length_flag = resolver.get("length", None)
-    if length_flag is not None:
-        segment_length = _segment_length(length_flag)
+    if args.length is not None:  # absent: the checkpoint's segment length
+        segment_length = None if args.length == "full" else args.length
     result = evaluate(
-        model,
-        prepared,
-        class_names,
-        level=level,
-        segment_length=segment_length,
+        model, prepared, class_names, level=args.level, segment_length=segment_length
     )
 
     out.mkdir(parents=True, exist_ok=True)
     doc = {
-        "level": level,
-        "split": split_name,
+        "level": args.level,
+        "split": args.split,
         "metrics": result.metrics.to_json(),
         "majority_vote": result.majority.to_json() if result.majority else None,
         "class_names": class_names,
@@ -428,54 +345,41 @@ def cmd_eval(args: argparse.Namespace) -> int:
     (out / "predictions.csv").write_text(predictions_to_csv(result.predictions))
     inputs = _hash_corpus(corpus)
     inputs["checkpoint"] = _sha256_file(ckpt_path)
-    _write_manifest(
-        out,
-        "eval",
-        resolver.resolved,
-        [],
-        inputs,
-        [out / "metrics.json", out / "predictions.csv"],
-    )
+    settings = {**_settings(args), "split-seed": split_seed}  # from the checkpoint
+    artifacts = [out / "metrics.json", out / "predictions.csv"]
+    _write_manifest(out, "eval", settings, [], inputs, artifacts)
     print(
-        f"{split_name} {level}: accuracy {result.metrics.accuracy:.4f}, "
+        f"{args.split} {args.level}: accuracy {result.metrics.accuracy:.4f}, "
         f"macro-F1 {result.metrics.macro_f1:.4f} over {result.metrics.n_eval}"
     )
     return 0
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    resolver = _Resolver(args)
-    out = resolver.out()
-    study_id = str(resolver.get("id", ""))
-    if study_id not in ("study1", "study2", "study3"):
-        raise UsageError("--id must be study1, study2, or study3")
-    corpus = _existing_dir(resolver.path("corpus"), "corpus directory")
-    _refuse_existing([out / "report.md"], bool(resolver.get("force", False)))
+    out = args.out
+    corpus = _existing_dir(args.corpus, "corpus directory")
+    _refuse_existing([out / "report.md"], args.force)
+    config = _train_config(args)
 
-    config = _train_config(resolver)
-
-    if study_id == "study3":
-        corpus_b = _existing_dir(resolver.path("corpus-b"), "second corpus")
-        split_seeds = resolver.seeds_list("split-seeds", "101,102,103,104,105")
+    if args.id == "study3":
+        corpus_b = _existing_dir(args.corpus_b, "second corpus")
+        seeds = args.split_seeds
         result = studies.study3(
-            corpus, corpus_b, out,
-            split_seeds=tuple(split_seeds), config=config,
+            corpus, corpus_b, out, split_seeds=tuple(seeds), config=config
         )
-        seeds = split_seeds
         inputs = {"corpus_a": _hash_corpus(corpus), "corpus_b": _hash_corpus(corpus_b)}
     else:
-        seeds = resolver.seeds_list("seeds", "1,2,3")
-        split_seed = int(resolver.get("split-seed", 7))
-        fn = studies.study1 if study_id == "study1" else studies.study2
+        seeds = args.seeds
+        fn = studies.study1 if args.id == "study1" else studies.study2
         result = fn(
-            corpus, out,
-            seeds=tuple(seeds), split_seed=split_seed, config=config,
+            corpus, out, seeds=tuple(seeds), split_seed=args.split_seed, config=config
         )
         inputs = {"corpus": _hash_corpus(corpus)}
 
+    settings = {**_settings(args), "lr": config.lr}
     artifacts = [Path(result["report_md"]), Path(result["report_csv"])]
-    _write_manifest(out, f"study:{study_id}", resolver.resolved, seeds, inputs, artifacts)
-    print(f"{study_id} report: {result['report_md']}")
+    _write_manifest(out, f"study:{args.id}", settings, seeds, inputs, artifacts)
+    print(f"{args.id} report: {result['report_md']}")
     return 0
 
 
@@ -492,90 +396,102 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="root random seed")
-    common.add_argument("--out", default=None, help="output file or directory")
-    common.add_argument(
-        "--force", action="store_true", default=None,
-        help="overwrite existing outputs",
-    )
-    common.add_argument("--config", default=None, help="JSON file with defaults")
-    common.add_argument(
-        "--workdir", default=None, help="base for relative paths (default .)"
-    )
+    common.add_argument("--out", type=Path, help="output file or directory (required)")
+    common.add_argument("--force", action="store_true", help="overwrite existing outputs")
+
+    fitting = argparse.ArgumentParser(add_help=False)
+    fitting.add_argument("--profile", choices=["desk", "full"], default="desk",
+                         help="model size and lr defaults (default %(default)s)")
+    fitting.add_argument("--epochs", type=int, default=TrainConfig.epochs,
+                         help="default %(default)s")
+    fitting.add_argument("--batch-size", type=int, default=TrainConfig.batch_size,
+                         help="default %(default)s")
+    fitting.add_argument("--lr", type=float, default=None,
+                         help=f"learning rate (default {studies.DESK_LR} for desk, "
+                              f"{TrainConfig.lr} for full)")
+    fitting.add_argument("--length", type=_segment_length,
+                         default=TrainConfig.segment_length,
+                         help="segment length in notes, or 'full' (default "
+                              "%(default)s; study1 sweeps its own)")
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
-    p.add_argument("--pianists", type=int, default=None, help="number of styles")
-    p.add_argument("--pieces", type=int, default=None, help="number of compositions")
-    p.add_argument("--per-cell", type=int, default=None,
-                   help="performances per (pianist, piece)")
-    p.add_argument("--length-min", type=int, default=None, help="min notes per piece")
-    p.add_argument("--length-max", type=int, default=None, help="max notes per piece")
-    p.add_argument("--difficulty", choices=["easy", "hard"], default=None,
-                   help="style separation (easy: wide gaps)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="root random seed (default %(default)s)")
+    p.add_argument("--pianists", type=int, default=6,
+                   help="number of styles (default %(default)s)")
+    p.add_argument("--pieces", type=int, default=40,
+                   help="number of compositions (default %(default)s)")
+    p.add_argument("--per-cell", type=int, default=3,
+                   help="performances per (pianist, piece) (default %(default)s)")
+    p.add_argument("--length-min", type=int, default=1100,
+                   help="min notes per piece (default %(default)s)")
+    p.add_argument("--length-max", type=int, default=2200,
+                   help="max notes per piece (default %(default)s)")
+    p.add_argument("--difficulty", choices=["easy", "hard"], default="easy",
+                   help="style separation, easy has wide gaps (default %(default)s)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("align", parents=[common],
                        help="align one performance to its score")
-    p.add_argument("--perf", default=None, help="performance MIDI file")
-    p.add_argument("--score", default=None, help="score MIDI file")
+    p.add_argument("--perf", type=Path, help="performance MIDI file")
+    p.add_argument("--score", type=Path, help="score MIDI file")
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("extract", parents=[common],
                        help="write feature matrices for every performance")
-    p.add_argument("--corpus", default=None, help="corpus directory with registry")
-    p.add_argument("--combo", default=None, help="feature combination C1..C5")
+    p.add_argument("--corpus", type=Path, help="corpus directory with registry")
+    p.add_argument("--combo", choices=list(features.COMBINATIONS), default="C5",
+                   help="feature combination (default %(default)s)")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("split", parents=[common],
                        help="assign performances to Train/Valid/Test")
-    p.add_argument("--registry", default=None, help="registry JSON")
+    p.add_argument("--registry", type=Path, help="registry JSON")
+    p.add_argument("--seed", type=int, default=0,
+                   help="split seed (default %(default)s)")
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("train", parents=[common], help="run one training job")
-    p.add_argument("--corpus", default=None, help="corpus directory")
-    p.add_argument("--split-csv", default=None, help="existing split assignment")
-    p.add_argument("--split-seed", type=int, default=None,
-                   help="derive the split from this seed (default 7)")
-    p.add_argument("--combo", default=None, help="feature combination (default C5)")
-    p.add_argument("--length", default=None,
-                   help="segment length in notes, or 'full' (default 1000)")
-    p.add_argument("--epochs", type=int, default=None, help="epochs (default 60)")
-    p.add_argument("--batch-size", type=int, default=None, help="default 16")
-    p.add_argument("--lr", type=float, default=None,
-                   help="learning rate (desk default 1e-3, full 8e-5)")
-    p.add_argument("--weight-decay", type=float, default=None, help="default 1e-7")
-    p.add_argument("--profile", choices=["desk", "full"], default=None,
-                   help="model size and lr defaults (default desk)")
+    p = sub.add_parser("train", parents=[common, fitting], help="run one training job")
+    p.add_argument("--corpus", type=Path, help="corpus directory")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed,
+                   help="training seed (default %(default)s)")
+    p.add_argument("--split-csv", type=Path, help="existing split assignment")
+    p.add_argument("--split-seed", type=int, default=7,
+                   help="derive the split from this seed unless --split-csv "
+                        "is given (default %(default)s)")
+    p.add_argument("--combo", choices=list(features.COMBINATIONS),
+                   default=TrainConfig.combo, help="default %(default)s")
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay,
+                   help="default %(default)s")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[common], help="score a checkpoint on a split")
-    p.add_argument("--checkpoint", default=None, help="checkpoint file")
-    p.add_argument("--corpus", default=None, help="corpus directory")
-    p.add_argument("--split-csv", default=None,
+    p.add_argument("--checkpoint", type=Path, help="checkpoint file")
+    p.add_argument("--corpus", type=Path, help="corpus directory")
+    p.add_argument("--split-csv", type=Path,
                    help="the split CSV the checkpoint was trained on "
                         "(otherwise its recorded split seed is used)")
-    p.add_argument("--split", default=None, help="Train, Valid, or Test (default)")
-    p.add_argument("--level", default=None, help="segment or piece (default segment)")
-    p.add_argument("--length", default=None,
-                   help="override the checkpoint's segment length")
+    p.add_argument("--split", choices=dataset.SPLITS, default="Test",
+                   help="default %(default)s")
+    p.add_argument("--level", choices=["segment", "piece"], default="segment",
+                   help="default %(default)s")
+    p.add_argument("--length", type=_segment_length,
+                   help="segment length in notes, or 'full' (default: the "
+                        "checkpoint's)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("study", parents=[common], help="run an experiment suite")
-    p.add_argument("--id", default=None, help="study1, study2, or study3")
-    p.add_argument("--corpus", default=None, help="corpus directory")
-    p.add_argument("--corpus-b", default=None,
-                   help="second corpus (study3 only)")
-    p.add_argument("--seeds", default=None, help="training seeds, e.g. 1,2,3")
-    p.add_argument("--split-seed", type=int, default=None,
-                   help="split seed for study1/study2 (default 7)")
-    p.add_argument("--split-seeds", default=None,
-                   help="split seeds for study3, e.g. 101,102,103,104,105")
-    p.add_argument("--profile", choices=["desk", "full"], default=None)
-    p.add_argument("--epochs", type=int, default=None, help="override epochs")
-    p.add_argument("--lr", type=float, default=None, help="override learning rate")
-    p.add_argument("--batch-size", type=int, default=None, help="override batch size")
-    p.add_argument("--length", default=None,
-                   help="base segment length for study3 rows (study1 sweeps its own)")
+    p = sub.add_parser("study", parents=[common, fitting],
+                       help="run an experiment suite")
+    p.add_argument("--id", choices=["study1", "study2", "study3"], required=True,
+                   help="the suite to run")
+    p.add_argument("--corpus", type=Path, help="corpus directory")
+    p.add_argument("--corpus-b", type=Path, help="second corpus (study3 only)")
+    p.add_argument("--seeds", type=_seed_list, default="1,2,3",
+                   help="training seeds for study1/study2 (default %(default)s)")
+    p.add_argument("--split-seed", type=int, default=7,
+                   help="split seed for study1/study2 (default %(default)s)")
+    p.add_argument("--split-seeds", type=_seed_list, default="101,102,103,104,105",
+                   help="split seeds for study3 (default %(default)s)")
     p.set_defaults(func=cmd_study)
 
     return parser
@@ -588,6 +504,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has already printed its message
         return int(exc.code or 0)
     try:
+        if args.out is None:
+            raise UsageError("--out is required")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -19,10 +19,11 @@ the ground-truth "performer" signal is known by construction.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,7 @@ class PerformanceRecord:
 class SplitAssignment:
     assignment: dict[str, str]
     seed: int | None  # None when read from a CSV
+    csv_sha256: str | None = None  # digest of the CSV text it was read from
 
     def ids(self, split: str) -> list[str]:
         return [i for i, s in self.assignment.items() if s == split]
@@ -141,7 +143,8 @@ def assignment_from_csv(text: str) -> SplitAssignment:
         if s not in SPLITS:
             raise ValueError(f"unknown split {s!r}")
         assignment[rec_id] = s
-    return SplitAssignment(assignment=assignment, seed=None)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    return SplitAssignment(assignment=assignment, seed=None, csv_sha256=digest)
 
 
 def save_registry(records: list[PerformanceRecord], path: str | Path,

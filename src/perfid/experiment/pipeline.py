@@ -67,6 +67,7 @@ class SplitSets:
     normalizer: features.NormStats
     class_names: list[str]
     split_seed: int | None  # the assignment's seed; None when read from a CSV
+    split_csv_sha256: str | None = None  # the CSV's digest when read from one
 
 
 def build_split_sets(
@@ -103,4 +104,5 @@ def build_split_sets(
         normalizer=stats,
         class_names=class_names,
         split_seed=assignment.seed,
+        split_csv_sha256=assignment.csv_sha256,
     )

@@ -228,6 +228,7 @@ def train(
             "normalizer": sets.normalizer.to_json(),
             "train_seed": config.seed,
             "split_seed": sets.split_seed,
+            "split_csv_sha256": sets.split_csv_sha256,
             "best_epoch": best_epoch,
             "best_valid_macro_f1": best_valid.macro_f1 if best_valid else None,
         }

@@ -16,7 +16,7 @@ DEFAULT_TEMPO = 500000  # microseconds per quarter note
 
 
 class MalformedHeader(ValueError):
-    """Bad chunk magic, length, or a truncated file."""
+    """Bad chunk magic or length, a truncated file, or a malformed event."""
 
 
 class UnsupportedFormat(ValueError):
@@ -73,10 +73,10 @@ def _sorted_notes(notes) -> list[Note]:
     return sorted(notes, key=lambda n: (n.onset, n.pitch, n.channel))
 
 
-def _read_varlen(data: bytes, pos: int) -> tuple[int, int]:
+def _read_varlen(data: bytes, pos: int, end: int) -> tuple[int, int]:
     value = 0
     for _ in range(4):
-        if pos >= len(data):
+        if pos >= end:
             raise MalformedHeader("truncated variable-length quantity")
         byte = data[pos]
         pos += 1
@@ -173,8 +173,10 @@ def parse_midi(data: bytes) -> NoteList:
         running_status = None
         active: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (ch, pitch) -> [(tick, vel)]
         while p < end:
-            delta, p = _read_varlen(data, p)
+            delta, p = _read_varlen(data, p, end)
             tick += delta
+            if p >= end:
+                raise MalformedHeader("track chunk ends inside an event")
             status = data[p]
             if status & 0x80:
                 p += 1
@@ -188,8 +190,8 @@ def parse_midi(data: bytes) -> NoteList:
             kind = status & 0xF0
             channel = status & 0x0F
             if status == 0xFF:
-                meta_type = data[p]
-                length, p = _read_varlen(data, p + 1)
+                meta_type = data[p] if p < end else None  # _read_varlen rejects p >= end
+                length, p = _read_varlen(data, p + 1, end)
                 payload = data[p : p + length]
                 p += length
                 if meta_type == 0x51 and length == 3:
@@ -197,10 +199,14 @@ def parse_midi(data: bytes) -> NoteList:
                 elif meta_type == 0x2F:
                     break
             elif status in (0xF0, 0xF7):
-                length, p = _read_varlen(data, p)
+                length, p = _read_varlen(data, p, end)
                 p += length
             elif kind in (0x80, 0x90):
+                if p + 2 > end:
+                    raise MalformedHeader("track chunk ends inside a note event")
                 pitch, velocity = data[p], data[p + 1]
+                if (pitch | velocity) & 0x80:
+                    raise MalformedHeader("note event data byte >= 0x80")
                 p += 2
                 key = (channel, pitch)
                 if kind == 0x90 and velocity > 0:
@@ -217,6 +223,8 @@ def parse_midi(data: bytes) -> NoteList:
                 p += 1
             else:
                 raise MalformedHeader(f"unexpected status byte 0x{status:02x}")
+            if p > end:
+                raise MalformedHeader("track chunk ends inside an event")
 
         for (channel, pitch), stack in active.items():
             for on_tick, on_vel in stack:
@@ -226,10 +234,13 @@ def parse_midi(data: bytes) -> NoteList:
 
     tempo_map = _normalize_tempo_map(tempo_events)
     tmap = _TempoMap(tempo_map, division)
-    notes = [
-        Note(pitch, tmap.to_seconds(on), tmap.to_seconds(off), vel, ch)
-        for on, off, pitch, vel, ch in raw_notes
-    ]
+    try:
+        notes = [
+            Note(pitch, tmap.to_seconds(on), tmap.to_seconds(off), vel, ch)
+            for on, off, pitch, vel, ch in raw_notes
+        ]
+    except ValueError as exc:  # a zero tempo leaves a note without duration
+        raise MalformedHeader(f"bad note: {exc}") from exc
     return NoteList(
         notes=_sorted_notes(notes),
         ticks_per_quarter=division,

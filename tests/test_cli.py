@@ -8,6 +8,7 @@ import csv
 import hashlib
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,29 @@ def test_unknown_flag_is_usage_error():
 def test_missing_out_is_usage_error(capsys):
     assert main(["synth"]) == 2
     assert "--out is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", ["synth", "align", "extract", "split", "train", "eval", "study"]
+)
+def test_subcommand_help_renders_its_defaults(command, capsys):
+    assert main([command, "--help"]) == 0
+    assert "--out" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["extract", "eval", "split"])
+def test_flags_a_command_ignores_are_usage_errors(command, corpus, trained, tmp_path):
+    """``--seed`` where nothing is seeded and the retired ``--workdir``."""
+    argv = {
+        "extract": ["--corpus", str(corpus), "--out", str(tmp_path / "f"),
+                    "--seed", "3"],
+        "eval": ["--corpus", str(corpus), "--out", str(tmp_path / "ev"),
+                 "--checkpoint", str(trained / "checkpoint.bin"),
+                 "--level", "piece", "--seed", "1"],
+        "split": ["--registry", str(corpus / "registry.json"),
+                  "--out", str(tmp_path / "s.csv"), "--workdir", str(tmp_path)],
+    }[command]
+    assert main([command, *argv]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +192,20 @@ def test_align_garbage_midi_is_pipeline_error(corpus, tmp_path, capsys):
     assert "bad.mid" in capsys.readouterr().err
 
 
+def test_align_truncated_midi_is_pipeline_error(corpus, tmp_path, capsys):
+    bad = tmp_path / "bad.mid"  # a note-on whose velocity byte lies past the file end
+    bad.write_bytes(b"MThd" + struct.pack(">IHHH", 6, 0, 1, 480)
+                    + b"MTrk" + struct.pack(">I", 3) + b"\x00\x90\x3c")
+    rec = dataset.load_registry(corpus / "registry.json")[0]
+    argv = [
+        "align", "--perf", str(bad),
+        "--score", str(corpus / rec.score_midi), "--out", str(tmp_path / "t.tsv"),
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad.mid") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # extract
 
@@ -238,16 +276,6 @@ def test_split_missing_registry_is_usage_error(tmp_path):
     assert main(argv) == 2
 
 
-def test_workdir_resolves_relative_outputs(corpus, tmp_path):
-    argv = [
-        "split", "--workdir", str(tmp_path),
-        "--registry", str(corpus / "registry.json"),
-        "--seed", "3", "--out", "sub/splits.csv",
-    ]
-    assert main(argv) == 0
-    assert (tmp_path / "sub" / "splits.csv").is_file()
-
-
 # ---------------------------------------------------------------------------
 # train
 
@@ -268,6 +296,14 @@ def test_train_writes_checkpoint_and_log(trained, capsys):
     assert len(extras["class_names"]) == 2
     assert extras["segment_length"] is None
     assert extras["schema"] == list(features.resolve_schema("C5").columns)
+
+
+def test_train_manifest_records_every_setting(trained):
+    """Defaults are recorded as parsed; the profile's lr as resolved."""
+    config = json.loads((trained / "manifest.json").read_text())["config"]
+    assert config["epochs"] == 2 and config["length"] == "full"
+    assert config["profile"] == "desk" and config["lr"] == studies.DESK_LR
+    assert (config["batch-size"], config["split-seed"], config["combo"]) == (16, 7, "C5")
 
 
 def test_train_refuses_overwrite(corpus, trained):
@@ -302,37 +338,6 @@ def test_train_bad_length_is_usage_error(corpus, tmp_path):
         "train", "--corpus", str(corpus), "--out", str(tmp_path / "t"),
         "--length", "sometimes",
     ]
-    assert main(argv) == 2
-
-
-def test_config_file_supplies_defaults_flags_override(corpus, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"epochs": 1, "length": "full", "seed": 1}))
-
-    out1 = tmp_path / "r1"
-    argv = ["train", "--corpus", str(corpus), "--out", str(out1), "--config", str(cfg)]
-    assert main(argv) == 0
-    with open(out1 / "epochs.csv") as fh:
-        assert len(list(csv.DictReader(fh))) == 1
-
-    out2 = tmp_path / "r2"
-    argv = [
-        "train", "--corpus", str(corpus), "--out", str(out2),
-        "--config", str(cfg), "--epochs", "2",
-    ]
-    assert main(argv) == 0
-    with open(out2 / "epochs.csv") as fh:
-        assert len(list(csv.DictReader(fh))) == 2
-    manifest = json.loads((out2 / "manifest.json").read_text())
-    assert manifest["config"]["epochs"] == 2  # flag beat the config file
-    assert manifest["config"]["length"] == "full"  # config beat the default
-
-
-def test_malformed_config_file_is_usage_error(corpus, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("[1, 2]")
-    argv = ["train", "--corpus", str(corpus), "--out", str(tmp_path / "t"),
-            "--config", str(cfg)]
     assert main(argv) == 2
 
 
@@ -433,8 +438,15 @@ def test_eval_scores_the_split_the_model_was_trained_on(corpus, tmp_path):
 
     by_csv = train("csv3", "--split-csv", str(csv_path))
     assert load_checkpoint(by_csv)[1]["extras"]["split_seed"] is None
+    assert "split-seed" not in json.loads(
+        (tmp_path / "csv3" / "manifest.json").read_text())["config"]
     assert evaluate("ev_csv_missing", by_csv) == 2
     assert evaluate("ev_csv", by_csv, "--split-csv", str(csv_path)) == test_ids
+
+    other_csv = tmp_path / "split7.csv"
+    assert main(["split", "--registry", str(corpus / "registry.json"),
+                 "--seed", "7", "--out", str(other_csv)]) == 0
+    assert evaluate("ev_other_csv", by_csv, "--split-csv", str(other_csv)) == 2
 
 
 def test_eval_unknown_pianists_fail(trained, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for SMF parsing, serialization, and the tempo map."""
 
+import random
 import struct
 
 import pytest
@@ -179,6 +180,36 @@ def test_smpte_division_rejected():
     header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, 0xE250)
     with pytest.raises(UnsupportedFormat):
         parse_midi(header + track([]))
+
+
+def test_note_event_data_byte_rejected():
+    with pytest.raises(MalformedHeader):
+        parse_midi(smf([track([(0, on(60, 0x81)), (480, off(60))])]))
+
+
+def test_fuzzed_files_parse_or_raise_typed_errors():
+    """Mutated and truncated files end in a NoteList or a typed error."""
+    notes = [Note(36 + i % 48, i * 0.25, i * 0.25 + 0.2, 20 + i) for i in range(60)]
+    base = write_midi(NoteList(notes=notes, tempo_map=[(0, 500000), (960, 400000)]))
+    outcomes = set()
+    for case in range(3000):
+        rng = random.Random(case)
+        data = bytearray(base)
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(14, len(data))] = rng.randrange(256)
+        if rng.random() < 0.5:
+            data = data[: rng.randrange(14, len(data))]
+        try:
+            outcomes.add(type(parse_midi(bytes(data))))
+        except (MalformedHeader, UnsupportedFormat) as exc:
+            outcomes.add(type(exc))
+    assert NoteList in outcomes and MalformedHeader in outcomes
+
+
+def test_zero_tempo_rejected():
+    data = smf([track([(0, tempo_event(0)), (0, on(60, 64)), (480, off(60))])])
+    with pytest.raises(MalformedHeader):
+        parse_midi(data)
 
 
 def test_note_validation():
