@@ -133,11 +133,14 @@ def _segment_length(text: str) -> int | str:
 
 
 def _seed_list(text: str) -> list[int]:
-    """``--seeds``/``--split-seeds``: comma-separated integers."""
+    """``--seeds``/``--split-seeds``: at least 2 comma-separated integers."""
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        seeds = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise UsageError(f"want comma-separated integers, got {text!r}") from None
+    if len(seeds) < 2:
+        raise UsageError(f"want at least 2 seeds, got {text!r}")
+    return seeds
 
 
 def _split_csv(path: Path | None) -> dataset.SplitAssignment | None:
@@ -263,7 +266,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         assignment = dataset.split(records, args.split_seed)
     else:
         del settings["split-seed"]  # the CSV fixes the split
-    config = _train_config(args, len({r.pianist for r in records}))
+    covered = {r.pianist for r in records if r.id in assignment.assignment}
+    config = _train_config(args, len(covered))
     settings["lr"] = config.lr  # the profile's lr when --lr is absent
 
     matrices = pipeline.extract_corpus(records, corpus)
@@ -299,6 +303,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         split_seed = extras["split_seed"]
     except KeyError as exc:
         raise PipelineError(f"checkpoint lacks evaluation metadata: {exc}") from exc
+    if args.length is not None:  # absent: the checkpoint's segment length
+        segment_length = None if args.length == "full" else args.length
+    if args.level == "segment" and segment_length is None:
+        raise UsageError("segment-level evaluation needs a segment length: "
+                         "pass --length or --level piece")
 
     # score the split the model was trained against
     records = pipeline.load_corpus(corpus)
@@ -327,8 +336,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         features.apply_normalizer(features.subset(matrices[rid], schema), stats)
         for rid in sorted(matrices)
     ]
-    if args.length is not None:  # absent: the checkpoint's segment length
-        segment_length = None if args.length == "full" else args.length
     result = evaluate(
         model, prepared, class_names, level=args.level, segment_length=segment_length
     )

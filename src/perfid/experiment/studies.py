@@ -5,9 +5,12 @@ the full feature set. Study 2 sweeps feature combinations C1..C5 at
 length 1000. Study 3 re-splits two corpora five times each and compares
 the spread of test accuracy across splits.
 
-Each study writes a Markdown summary, a CSV with the raw aggregates, and
-per-run artifacts (epoch logs, checkpoints, prediction dumps) under the
-output directory, and returns the aggregate rows as data.
+Studies 1 and 2 are one experiment with different rows: ``_sweep``
+extracts the corpus once, splits it once, and runs repeated seeded
+training per row; ``study1`` and ``study2`` only list their rows. Every
+study writes ``report.md`` and ``report.csv`` through ``_write_reports``
+plus per-run artifacts (epoch logs, checkpoints, prediction dumps) under
+the output directory, and returns the aggregate rows as data.
 """
 
 from __future__ import annotations
@@ -23,18 +26,18 @@ from .. import features
 from ..dataset import split
 from ..neural import desk_config
 from .pipeline import build_split_sets, extract_corpus, load_corpus
-from .training import (
-    TrainConfig,
-    evaluate,
-    format_mean_std,
-    predictions_to_csv,
-    repeat_runs,
-    train,
-)
+from .training import TrainConfig, format_mean_std, repeat_runs, score_test, train
 
 STUDY1_LENGTHS: tuple[int | None, ...] = (400, 600, 800, 1000, None)
 STUDY2_COMBOS = ("C1", "C2", "C3", "C4", "C5")
 DESK_LR = 1e-3  # workable for the slim model within a 60-epoch budget
+# (key in repeat_runs' aggregates, report column), in report order
+REPORT_METRICS = (
+    ("segment_accuracy", "Segment accuracy"),
+    ("segment_macro_f1", "Segment macro-F1"),
+    ("piece_accuracy", "Piece accuracy"),
+    ("piece_macro_f1", "Piece macro-F1"),
+)
 
 
 def profile_config(profile: str, n_classes: int = 6, **overrides) -> TrainConfig:
@@ -71,93 +74,66 @@ def _row_config(
     return replace(base, combo=combo, segment_length=segment_length, model=model)
 
 
-def _write_markdown(path: Path, title: str, header: list[str], rows: list[list]):
+def _write_reports(
+    out_dir: Path, title: str, header: list[str], md_rows: list[list],
+    csv_header: list[str], csv_rows: list[list],
+) -> dict:
+    """Write ``report.md`` (a titled Markdown table) and ``report.csv``."""
     lines = [f"# {title}", ""]
     lines.append("| " + " | ".join(header) + " |")
     lines.append("|" + "|".join(["---"] * len(header)) + "|")
-    for row in rows:
+    for row in md_rows:
         lines.append("| " + " | ".join(str(c) for c in row) + " |")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]):
+    (out_dir / "report.md").write_text("\n".join(lines) + "\n")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    path.write_text(buf.getvalue())
+    writer.writerow(csv_header)
+    writer.writerows(csv_rows)
+    (out_dir / "report.csv").write_text(buf.getvalue())
+    return {"report_md": out_dir / "report.md", "report_csv": out_dir / "report.csv"}
 
 
-def _aggregate_cells(agg: dict, metric: str) -> str:
-    if metric not in agg["mean"]:
-        return "-"
-    return agg["formatted"][metric]
-
-
-def _sweep_report(
-    out_dir: Path,
-    title: str,
-    row_label: str,
-    sweep: list[tuple[str, dict]],
-    extra_cols: dict[str, list] | None = None,
+def _sweep(
+    corpus_dir: str | Path, out_dir: str | Path, seeds: tuple[int, ...],
+    split_seed: int, config: TrainConfig | None, title: str, header: list[str],
+    rows: list[tuple[tuple, str, str, int | None]],
 ) -> dict:
-    """Shared report writer for the study 1 and study 2 sweeps."""
-    header = [row_label]
-    if extra_cols:
-        header.extend(extra_cols.keys())
-    header.extend(
-        [
-            "Segment accuracy",
-            "Segment macro-F1",
-            "Piece accuracy",
-            "Piece macro-F1",
-        ]
-    )
-    md_rows, csv_rows = [], []
-    for i, (name, agg) in enumerate(sweep):
-        row = [name]
-        if extra_cols:
-            row.extend(col[i] for col in extra_cols.values())
-        row.extend(
-            [
-                _aggregate_cells(agg, "segment_accuracy"),
-                _aggregate_cells(agg, "segment_macro_f1"),
-                _aggregate_cells(agg, "piece_accuracy"),
-                _aggregate_cells(agg, "piece_macro_f1"),
-            ]
-        )
-        md_rows.append(row)
-        csv_row = [name]
-        if extra_cols:
-            csv_row.extend(col[i] for col in extra_cols.values())
-        for metric in (
-            "segment_accuracy",
-            "segment_macro_f1",
-            "piece_accuracy",
-            "piece_macro_f1",
-        ):
-            csv_row.append(agg["mean"].get(metric, ""))
-            csv_row.append(agg["std"].get(metric, ""))
-        csv_rows.append(csv_row)
+    """Repeated seeded runs per row on one split, and one report row each.
 
-    csv_header = [row_label.lower().replace(" ", "_")]
-    if extra_cols:
-        csv_header.extend(k.lower().replace(" ", "_") for k in extra_cols)
-    for metric in (
-        "segment_accuracy",
-        "segment_macro_f1",
-        "piece_accuracy",
-        "piece_macro_f1",
-    ):
-        csv_header.extend([f"{metric}_mean", f"{metric}_std"])
+    Each row is (leading cells, run dir name, combo, segment length); the
+    first leading cell names the row. The corpus is extracted once and
+    the split sets are rebuilt only when the combo changes.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    records = load_corpus(corpus_dir)
+    assignment = split(records, split_seed)
+    matrices = extract_corpus(records, corpus_dir)
+    base = config if config is not None else desk_train_config()
 
-    _write_markdown(out_dir / "report.md", title, header, md_rows)
-    _write_csv(out_dir / "report.csv", csv_header, csv_rows)
-    return {
-        "report_md": out_dir / "report.md",
-        "report_csv": out_dir / "report.csv",
-        "rows": {name: agg for name, agg in sweep},
-    }
+    aggregates, md_rows, csv_rows = {}, [], []
+    sets_combo = None
+    for cells, run_name, combo, length in rows:
+        if combo != sets_combo:
+            sets = build_split_sets(matrices, assignment, combo)
+            sets_combo = combo
+        cfg = _row_config(base, combo, length, len(sets.class_names))
+        agg = repeat_runs(cfg, list(seeds), sets, out_dir=out_dir / run_name)
+        aggregates[cells[0]] = agg
+        mean, std = agg["mean"], agg["std"]
+        md_rows.append([*cells] + [
+            format_mean_std(mean[m], std[m]) if m in mean else "-"
+            for m, _ in REPORT_METRICS
+        ])
+        csv_rows.append([*cells] + [
+            v for m, _ in REPORT_METRICS for v in (mean.get(m, ""), std.get(m, ""))
+        ])
+
+    csv_header = [h.lower().replace(" ", "_") for h in header]
+    csv_header += [f"{m}_{stat}" for m, _ in REPORT_METRICS for stat in ("mean", "std")]
+    header = header + [label for _, label in REPORT_METRICS]
+    reports = _write_reports(out_dir, title, header, md_rows, csv_header, csv_rows)
+    return {**reports, "rows": aggregates}
 
 
 def study1(
@@ -168,22 +144,12 @@ def study1(
     config: TrainConfig | None = None,
 ) -> dict:
     """Sequence-length sweep at the full feature combination."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    records = load_corpus(corpus_dir)
-    assignment = split(records, split_seed)
-    matrices = extract_corpus(records, corpus_dir)
-    sets = build_split_sets(matrices, assignment, "C5")
-    n_classes = len(sets.class_names)
-    base = config if config is not None else desk_train_config()
-
-    sweep = []
+    rows = []
     for length in STUDY1_LENGTHS:
         name = "Full" if length is None else str(length)
-        cfg = _row_config(base, "C5", length, n_classes)
-        agg = repeat_runs(cfg, list(seeds), sets, out_dir=out_dir / f"len_{name}")
-        sweep.append((name, agg))
-    return _sweep_report(out_dir, "Input sequence length", "Length", sweep)
+        rows.append(((name,), f"len_{name}", "C5", length))
+    return _sweep(corpus_dir, out_dir, seeds, split_seed, config,
+                  "Input sequence length", ["Length"], rows)
 
 
 def study2(
@@ -194,28 +160,10 @@ def study2(
     config: TrainConfig | None = None,
 ) -> dict:
     """Feature-combination sweep at segment length 1000."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    records = load_corpus(corpus_dir)
-    assignment = split(records, split_seed)
-    matrices = extract_corpus(records, corpus_dir)
-    base = config if config is not None else desk_train_config()
-
-    sweep = []
-    n_features = []
-    for combo in STUDY2_COMBOS:
-        sets = build_split_sets(matrices, assignment, combo)
-        cfg = _row_config(base, combo, 1000, len(sets.class_names))
-        agg = repeat_runs(cfg, list(seeds), sets, out_dir=out_dir / combo)
-        sweep.append((combo, agg))
-        n_features.append(len(features.resolve_schema(combo)))
-    return _sweep_report(
-        out_dir,
-        "Feature combinations",
-        "Combination",
-        sweep,
-        extra_cols={"Features": n_features},
-    )
+    rows = [((combo, len(features.resolve_schema(combo))), combo, combo, 1000)
+            for combo in STUDY2_COMBOS]
+    return _sweep(corpus_dir, out_dir, seeds, split_seed, config,
+                  "Feature combinations", ["Combination", "Features"], rows)
 
 
 def study3(
@@ -255,18 +203,8 @@ def study3(
             )
             run_dir = out_dir / f"corpus{tag}" / f"split{split_seed}"
             result = train(cfg, sets, out_dir=run_dir)
-            ev = evaluate(
-                result.model,
-                sets.test,
-                sets.class_names,
-                level="segment",
-                segment_length=cfg.segment_length,
-                batch_size=cfg.batch_size,
-            )
-            (run_dir / "predictions_segment.csv").write_text(
-                predictions_to_csv(ev.predictions)
-            )
-            accuracies.append(ev.metrics.accuracy)
+            scores = score_test(result, sets, ("segment",), run_dir)
+            accuracies.append(scores["segment_accuracy"])
 
         best = float(np.max(accuracies))
         mean = float(np.mean(accuracies))
@@ -284,17 +222,9 @@ def study3(
         )
         csv_rows.append([tag, str(corpus), len(records), best, mean, std])
 
-    _write_markdown(
-        out_dir / "report.md",
-        "Split sensitivity",
-        ["Corpus", "Path", "Performances", "Best", "Average"],
-        md_rows,
-    )
-    _write_csv(
-        out_dir / "report.csv",
-        ["corpus", "path", "n_performances", "best", "mean", "std"],
-        csv_rows,
-    )
-    results["report_md"] = out_dir / "report.md"
-    results["report_csv"] = out_dir / "report.csv"
+    results.update(_write_reports(
+        out_dir, "Split sensitivity",
+        ["Corpus", "Path", "Performances", "Best", "Average"], md_rows,
+        ["corpus", "path", "n_performances", "best", "mean", "std"], csv_rows,
+    ))
     return results

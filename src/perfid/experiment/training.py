@@ -153,6 +153,10 @@ def train(
             f"features have {len(sets.normalizer.columns)} columns, model "
             f"expects {model_cfg.in_features}"
         )
+    if model_cfg.n_classes != n_classes:
+        raise SchemaMismatch(
+            f"the split has {n_classes} classes, model predicts {model_cfg.n_classes}"
+        )
     model = PianistConvNet(model_cfg, seed=config.seed)
     optimizer = AdamState(
         model.parameters(), lr=config.lr, weight_decay=config.weight_decay
@@ -334,6 +338,30 @@ def format_mean_std(mean: float, std: float, decimals: int = 3) -> str:
     return f"{mean:.{decimals}f} ({std:.{decimals}f})"
 
 
+def score_test(
+    result: TrainResult, sets: SplitSets, levels: tuple[str, ...], run_dir: Path | None
+) -> dict:
+    """Test-split ``<level>_accuracy`` and ``<level>_macro_f1`` per level.
+
+    Segment level adds ``vote_accuracy``, the per-piece majority vote.
+    Writes ``predictions_<level>.csv`` under ``run_dir`` when given.
+    """
+    scores = {}
+    for level in levels:
+        ev = evaluate(result.model, sets.test, sets.class_names, level=level,
+                      segment_length=result.config.segment_length,
+                      batch_size=result.config.batch_size)
+        scores[f"{level}_accuracy"] = ev.metrics.accuracy
+        scores[f"{level}_macro_f1"] = ev.metrics.macro_f1
+        if ev.majority is not None:
+            scores["vote_accuracy"] = ev.majority.accuracy
+        if run_dir is not None:
+            (run_dir / f"predictions_{level}.csv").write_text(
+                predictions_to_csv(ev.predictions)
+            )
+    return scores
+
+
 def repeat_runs(
     config: TrainConfig,
     seeds: list[int],
@@ -344,52 +372,19 @@ def repeat_runs(
 
     Each run is evaluated on the test split at segment level (when the
     config has a segment length) and always at piece level. Returns raw
-    per-run values plus mean, sample standard deviation, and formatted
-    "mean (std)" cells per metric.
+    per-run values plus the mean and sample standard deviation per metric.
     """
     if len(seeds) < 2:
         raise ValueError("repeated runs need at least 2 seeds")
+    levels = ("piece",) if config.segment_length is None else ("segment", "piece")
     runs = []
     for seed in seeds:
-        run_config = replace(config, seed=int(seed))
-        run_dir = None
-        if out_dir is not None:
-            run_dir = Path(out_dir) / f"seed{seed}"
-        result = train(run_config, sets, out_dir=run_dir)
-        row: dict = {"seed": int(seed), "best_epoch": result.best_epoch}
-        if config.segment_length is not None:
-            seg = evaluate(
-                result.model,
-                sets.test,
-                sets.class_names,
-                level="segment",
-                segment_length=config.segment_length,
-                batch_size=config.batch_size,
-            )
-            row["segment_accuracy"] = seg.metrics.accuracy
-            row["segment_macro_f1"] = seg.metrics.macro_f1
-            row["vote_accuracy"] = seg.majority.accuracy
-            if run_dir is not None:
-                (run_dir / "predictions_segment.csv").write_text(
-                    predictions_to_csv(seg.predictions)
-                )
-        piece = evaluate(
-            result.model,
-            sets.test,
-            sets.class_names,
-            level="piece",
-            batch_size=config.batch_size,
-        )
-        row["piece_accuracy"] = piece.metrics.accuracy
-        row["piece_macro_f1"] = piece.metrics.macro_f1
-        if run_dir is not None:
-            (run_dir / "predictions_piece.csv").write_text(
-                predictions_to_csv(piece.predictions)
-            )
-        runs.append(row)
+        run_dir = None if out_dir is None else Path(out_dir) / f"seed{seed}"
+        result = train(replace(config, seed=int(seed)), sets, out_dir=run_dir)
+        scores = score_test(result, sets, levels, run_dir)
+        runs.append({"seed": int(seed), "best_epoch": result.best_epoch, **scores})
 
     metric_names = [k for k in runs[0] if k not in ("seed", "best_epoch")]
     mean = {m: float(np.mean([r[m] for r in runs])) for m in metric_names}
     std = {m: float(np.std([r[m] for r in runs], ddof=1)) for m in metric_names}
-    formatted = {m: format_mean_std(mean[m], std[m]) for m in metric_names}
-    return {"runs": runs, "mean": mean, "std": std, "formatted": formatted}
+    return {"runs": runs, "mean": mean, "std": std}

@@ -8,6 +8,7 @@ scores fixed windows and whole pieces.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 
@@ -262,9 +263,13 @@ def save_checkpoint(
 
     The payload concatenates every parameter and batch-norm buffer in
     declaration order; the header records names and shapes so the file is
-    self-describing.
+    self-describing, and the payload's sha256 so corruption is detected.
     """
     arrays = model.named_arrays()
+    chunks = [np.ascontiguousarray(a, dtype="<f4") for _, a in arrays]
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
     header = {
         "format": "perfid-checkpoint",
         "version": 1,
@@ -272,13 +277,14 @@ def save_checkpoint(
         "seed": model.seed,
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
         "extras": extras or {},
+        "payload_sha256": digest.hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":"))
     with open(path, "wb") as fh:
         fh.write(blob.encode("utf-8"))
         fh.write(b"\n")
-        for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+        for chunk in chunks:
+            fh.write(chunk.tobytes())
 
 
 def load_checkpoint(path) -> tuple[PianistConvNet, dict]:
@@ -295,6 +301,8 @@ def load_checkpoint(path) -> tuple[PianistConvNet, dict]:
         raise CorruptCheckpoint(f"unreadable checkpoint header: {exc}") from exc
     if header.get("format") != "perfid-checkpoint":
         raise CorruptCheckpoint("not a checkpoint file")
+    if header.get("payload_sha256") != hashlib.sha256(payload).hexdigest():
+        raise CorruptCheckpoint("payload digest does not match the header")
 
     config = ModelConfig.from_json(header["config"])
     model = PianistConvNet(config, seed=int(header.get("seed", 0)))

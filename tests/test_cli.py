@@ -7,6 +7,7 @@ asserts on exit codes, printed output, and the files left behind.
 import csv
 import hashlib
 import json
+import re
 import shutil
 import struct
 from pathlib import Path
@@ -341,6 +342,26 @@ def test_train_bad_length_is_usage_error(corpus, tmp_path):
     assert main(argv) == 2
 
 
+def test_train_sizes_the_model_to_the_pianists_of_the_split(tmp_path):
+    """A split CSV without one pianist trains a model without that class."""
+    corpus = tmp_path / "c"
+    assert main(["synth", "--out", str(corpus), "--pianists", "3", "--pieces", "3",
+                 "--per-cell", "3", "--length-min", "120", "--length-max", "150",
+                 "--seed", "4"]) == 0
+    split_csv = tmp_path / "split.csv"
+    assert main(["split", "--registry", str(corpus / "registry.json"),
+                 "--seed", "7", "--out", str(split_csv)]) == 0
+    lines = split_csv.read_text().splitlines()
+    split_csv.write_text("\n".join(l for l in lines if ",pianist_02," not in l) + "\n")
+
+    out = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--split-csv", str(split_csv),
+                 "--out", str(out), "--epochs", "1", "--length", "50"]) == 0
+    model, header = load_checkpoint(out / "checkpoint.bin")
+    assert header["extras"]["class_names"] == ["pianist_00", "pianist_01"]
+    assert model.config.n_classes == 2
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -466,6 +487,37 @@ def test_eval_unknown_pianists_fail(trained, tmp_path, capsys):
     assert "unseen at training time" in capsys.readouterr().err
 
 
+def test_eval_at_segment_level_needs_a_segment_length(
+    corpus, trained, tmp_path, capsys, monkeypatch
+):
+    """A ``--length full`` model is refused at segment level before extraction."""
+    base = ["eval", "--corpus", str(corpus),
+            "--checkpoint", str(trained / "checkpoint.bin")]
+
+    def no_extraction(*args):
+        raise AssertionError("extracted before rejecting the flags")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "extract_corpus", no_extraction)
+        assert main(base + ["--out", str(tmp_path / "seg")]) == 2
+    assert "needs a segment length" in capsys.readouterr().err
+    assert main(base + ["--out", str(tmp_path / "piece"), "--level", "piece"]) == 0
+
+
+def test_eval_corrupt_checkpoint_is_pipeline_error(corpus, trained, tmp_path, capsys):
+    raw = bytearray((trained / "checkpoint.bin").read_bytes())
+    raw[-1] ^= 0x01
+    ckpt = tmp_path / "flipped.bin"
+    ckpt.write_bytes(bytes(raw))
+    argv = [
+        "eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+        "--out", str(tmp_path / "ev"), "--level", "piece",
+    ]
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "ev" / "metrics.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # studies
 
@@ -476,6 +528,9 @@ def test_study_rejects_bad_id_and_seeds(corpus, tmp_path):
     assert main(base + ["--id", "study1", "--seeds", "1,x"]) == 2
     assert main(base + ["--id", "study1", "--lr", "0"]) == 2
     assert main(base + ["--id", "study1", "--batch-size", "1"]) == 2
+    assert main(base + ["--id", "study1", "--seeds", "1"]) == 2
+    assert main(base + ["--id", "study3", "--corpus-b", str(corpus),
+                        "--split-seeds", "7"]) == 2
 
 
 def test_study1_mini_sweep(long_corpus, tmp_path, capsys):
@@ -516,12 +571,12 @@ def test_study_rows_train_the_requested_profile(study_id, corpus, tmp_path, monk
 
     def record_row(config, seeds, sets, out_dir=None):
         rows.append((config, len(sets.class_names)))
-        return {"mean": {}, "std": {}, "formatted": {}}
+        return {"mean": {}, "std": {}}
 
     monkeypatch.setattr(studies, "repeat_runs", record_row)
     for profile in ("full", "desk"):
         argv = [
-            "study", "--id", study_id, "--corpus", str(corpus), "--seeds", "1",
+            "study", "--id", study_id, "--corpus", str(corpus), "--seeds", "1,2",
             "--out", str(tmp_path / profile), "--profile", profile,
         ]
         assert main(argv) == 0
@@ -562,6 +617,49 @@ def test_study3_mini_split_sensitivity(corpus, tmp_path, capsys):
         assert float(row["std"]) >= 0.0
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["inputs"]) == {"corpus_a", "corpus_b"}
+
+
+SWEEP_MD = "| Segment accuracy | Segment macro-F1 | Piece accuracy | Piece macro-F1 |"
+SWEEP_CSV = [
+    "segment_accuracy_mean", "segment_accuracy_std",
+    "segment_macro_f1_mean", "segment_macro_f1_std",
+    "piece_accuracy_mean", "piece_accuracy_std",
+    "piece_macro_f1_mean", "piece_macro_f1_std",
+]
+
+
+@pytest.mark.parametrize("study_id, md_head, csv_head", [
+    ("study1",
+     ["# Input sequence length", "", "| Length " + SWEEP_MD, "|---|---|---|---|---|"],
+     ["length", *SWEEP_CSV]),
+    ("study2",
+     ["# Feature combinations", "", "| Combination | Features " + SWEEP_MD,
+      "|---|---|---|---|---|---|"],
+     ["combination", "features", *SWEEP_CSV]),
+    ("study3",
+     ["# Split sensitivity", "", "| Corpus | Path | Performances | Best | Average |",
+      "|---|---|---|---|---|"],
+     ["corpus", "path", "n_performances", "best", "mean", "std"]),
+])
+def test_study_reports_pin_their_layout(
+    study_id, md_head, csv_head, corpus, long_corpus, tmp_path
+):
+    out = tmp_path / study_id
+    argv = ["study", "--id", study_id, "--out", str(out), "--epochs", "1"]
+    if study_id == "study3":
+        argv += ["--corpus", str(corpus), "--corpus-b", str(corpus),
+                 "--split-seeds", "11,12", "--length", "20"]
+    else:
+        argv += ["--corpus", str(long_corpus), "--seeds", "1,2"]
+    assert main(argv) == 0
+
+    lines = (out / "report.md").read_text().splitlines()
+    assert lines[:4] == md_head
+    with open(out / "report.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == csv_head
+    if study_id == "study1":  # whole pieces have no segment-level metrics
+        cell = r"\d\.\d{3} \(\d\.\d{3}\)"
+        assert re.fullmatch(rf"\| Full \| - \| - \| {cell} \| {cell} \|", lines[-1])
 
 
 def test_study3_requires_second_corpus(corpus, tmp_path):

@@ -1,5 +1,7 @@
 """Gradient checks, parameter accounting, and checkpoint round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -498,6 +500,26 @@ def test_checkpoint_corruption_detected(tmp_path):
     garbage.write_bytes(b"\x89PNG not a checkpoint\n" + raw[raw.index(b"\n") + 1 :])
     with pytest.raises(CorruptCheckpoint):
         load_checkpoint(garbage)
+
+
+def test_checkpoint_payload_digest_detects_flipped_bytes(tmp_path):
+    model = PianistConvNet(desk_config(), seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    raw = path.read_bytes()
+    header_end = raw.index(b"\n") + 1
+
+    flipped = bytearray(raw)
+    flipped[header_end + 100] ^= 0x01
+    path.write_bytes(bytes(flipped))
+    with pytest.raises(CorruptCheckpoint, match="digest"):
+        load_checkpoint(path)
+
+    header = json.loads(raw[:header_end])
+    del header["payload_sha256"]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + raw[header_end:])
+    with pytest.raises(CorruptCheckpoint, match="digest"):
+        load_checkpoint(path)
 
 
 def test_load_arrays_validation():
