@@ -347,18 +347,9 @@ def align(perf: NoteList, score: NoteList) -> Alignment:
     )
 
 
-def alignment_cost(alignment: Alignment, perf: NoteList, score: NoteList,
-                   time_map: tuple[float, float] | None = None) -> float:
+def alignment_cost(alignment: Alignment, perf: NoteList, score: NoteList) -> float:
     """Cost of a given alignment under the DP objective (used by tests)."""
-    if time_map is None:
-        time_map = alignment.time_map
-    if time_map is None:
-        anchors = greedy_pitch_prematch(perf, score)
-        time_map = fit_time_map(
-            [score.notes[j].onset for _, j in anchors],
-            [perf.notes[i].onset for i, _ in anchors],
-        )
-    a, b = time_map
+    a, b = alignment.time_map
     cost = SKIP_PENALTY * (len(alignment.missing) + len(alignment.extra))
     for i, j in alignment.pairs:
         cost += abs(perf.notes[i].onset - (a * score.notes[j].onset + b))

@@ -127,9 +127,12 @@ def _segment_length(text: str) -> int | str:
     if text.strip().lower() == "full":
         return "full"
     try:
-        return int(text)
+        length = int(text)
     except ValueError:
         raise UsageError(f"--length wants an integer or 'full', got {text!r}") from None
+    if length < 2:
+        raise UsageError(f"--length wants at least 2 notes, got {length}")
+    return length
 
 
 def _seed_list(text: str) -> list[int]:
@@ -141,12 +144,6 @@ def _seed_list(text: str) -> list[int]:
     if len(seeds) < 2:
         raise UsageError(f"want at least 2 seeds, got {text!r}")
     return seeds
-
-
-def _split_csv(path: Path | None) -> dataset.SplitAssignment | None:
-    if path is None:
-        return None
-    return dataset.assignment_from_csv(_existing_file(path, "split CSV").read_text())
 
 
 def _train_config(args: argparse.Namespace, n_classes: int = 6) -> TrainConfig:
@@ -261,13 +258,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     _refuse_existing([out / "checkpoint.bin", out / "epochs.csv"], args.force)
     records = pipeline.load_corpus(corpus)
     settings = _settings(args)
-    assignment = _split_csv(args.split_csv)
-    if assignment is None:
+    if args.split_csv is None:
         assignment = dataset.split(records, args.split_seed)
     else:
+        text = _existing_file(args.split_csv, "split CSV").read_text()
+        assignment = dataset.assignment_from_csv(text)
         del settings["split-seed"]  # the CSV fixes the split
-    covered = {r.pianist for r in records if r.id in assignment.assignment}
-    config = _train_config(args, len(covered))
+    records = [r for r in records if r.id in assignment.assignment]
+    config = _train_config(args, len({r.pianist for r in records}))
     settings["lr"] = config.lr  # the profile's lr when --lr is absent
 
     matrices = pipeline.extract_corpus(records, corpus)
@@ -300,7 +298,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         class_names = list(extras["class_names"])
         combo_cols = tuple(extras["schema"])
         segment_length = extras.get("segment_length")
-        split_seed = extras["split_seed"]
+        split_ids = extras["split"][args.split]
     except KeyError as exc:
         raise PipelineError(f"checkpoint lacks evaluation metadata: {exc}") from exc
     if args.length is not None:  # absent: the checkpoint's segment length
@@ -309,21 +307,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise UsageError("segment-level evaluation needs a segment length: "
                          "pass --length or --level piece")
 
-    # score the split the model was trained against
-    records = pipeline.load_corpus(corpus)
-    assignment = _split_csv(args.split_csv)
-    if assignment is None:
-        if split_seed is None:
-            raise UsageError("the checkpoint was trained on a split CSV: pass --split-csv")
-        assignment = dataset.split(records, split_seed)
-    elif split_seed is not None:
-        raise UsageError(
-            f"the checkpoint records split seed {split_seed}: drop --split-csv"
+    # score exactly the records the model was split against
+    wanted = set(split_ids)
+    chosen = [r for r in pipeline.load_corpus(corpus) if r.id in wanted]
+    missing = wanted - {r.id for r in chosen}
+    if missing:
+        raise PipelineError(
+            f"corpus lacks {len(missing)} of the checkpoint's {args.split} "
+            f"record ids, first {min(missing)}"
         )
-    elif assignment.csv_sha256 != extras.get("split_csv_sha256"):
-        raise UsageError("--split-csv differs from the CSV the checkpoint was trained on")
-    wanted = set(assignment.ids(args.split))
-    chosen = [r for r in records if r.id in wanted]
     if not chosen:
         raise PipelineError(f"split {args.split} selects no performances")
     unknown = sorted({r.pianist for r in chosen} - set(class_names))
@@ -352,9 +344,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     (out / "predictions.csv").write_text(predictions_to_csv(result.predictions))
     inputs = _hash_corpus(corpus)
     inputs["checkpoint"] = _sha256_file(ckpt_path)
-    settings = {**_settings(args), "split-seed": split_seed}  # from the checkpoint
     artifacts = [out / "metrics.json", out / "predictions.csv"]
-    _write_manifest(out, "eval", settings, [], inputs, artifacts)
+    _write_manifest(out, "eval", _settings(args), [], inputs, artifacts)
     print(
         f"{args.split} {args.level}: accuracy {result.metrics.accuracy:.4f}, "
         f"macro-F1 {result.metrics.macro_f1:.4f} over {result.metrics.n_eval}"
@@ -475,11 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[common], help="score a checkpoint on a split")
     p.add_argument("--checkpoint", type=Path, help="checkpoint file")
     p.add_argument("--corpus", type=Path, help="corpus directory")
-    p.add_argument("--split-csv", type=Path,
-                   help="the split CSV the checkpoint was trained on "
-                        "(otherwise its recorded split seed is used)")
     p.add_argument("--split", choices=dataset.SPLITS, default="Test",
-                   help="default %(default)s")
+                   help="recorded split to score (default %(default)s)")
     p.add_argument("--level", choices=["segment", "piece"], default="segment",
                    help="default %(default)s")
     p.add_argument("--length", type=_segment_length,

@@ -19,7 +19,6 @@ the ground-truth "performer" signal is known by construction.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
@@ -54,11 +53,6 @@ class PerformanceRecord:
 @dataclass
 class SplitAssignment:
     assignment: dict[str, str]
-    seed: int | None  # None when read from a CSV
-    csv_sha256: str | None = None  # digest of the CSV text it was read from
-
-    def ids(self, split: str) -> list[str]:
-        return [i for i, s in self.assignment.items() if s == split]
 
     def __getitem__(self, record_id: str) -> str:
         return self.assignment[record_id]
@@ -105,7 +99,7 @@ def split(records: list[PerformanceRecord], seed: int) -> SplitAssignment:
             chosen.update({rec.id: "Valid" for rec in b})
             chosen.update({rec.id: "Test" for rec in c})
         assignment.update(chosen)
-    return SplitAssignment(assignment=assignment, seed=seed)
+    return SplitAssignment(assignment=assignment)
 
 
 def split_stats(assignment: SplitAssignment, records: list[PerformanceRecord]) -> dict:
@@ -143,8 +137,7 @@ def assignment_from_csv(text: str) -> SplitAssignment:
         if s not in SPLITS:
             raise ValueError(f"unknown split {s!r}")
         assignment[rec_id] = s
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    return SplitAssignment(assignment=assignment, seed=None, csv_sha256=digest)
+    return SplitAssignment(assignment=assignment)
 
 
 def save_registry(records: list[PerformanceRecord], path: str | Path,

@@ -66,8 +66,6 @@ class SplitSets:
     test: list[features.FeatureMatrix]
     normalizer: features.NormStats
     class_names: list[str]
-    split_seed: int | None  # the assignment's seed; None when read from a CSV
-    split_csv_sha256: str | None = None  # the CSV's digest when read from one
 
 
 def build_split_sets(
@@ -103,6 +101,4 @@ def build_split_sets(
         test=normalized["Test"],
         normalizer=stats,
         class_names=class_names,
-        split_seed=assignment.seed,
-        split_csv_sha256=assignment.csv_sha256,
     )

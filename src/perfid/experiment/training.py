@@ -231,8 +231,11 @@ def train(
             "schema": list(sets.normalizer.columns),
             "normalizer": sets.normalizer.to_json(),
             "train_seed": config.seed,
-            "split_seed": sets.split_seed,
-            "split_csv_sha256": sets.split_csv_sha256,
+            "split": {
+                "Train": [m.piece_id for m in sets.train],
+                "Valid": [m.piece_id for m in sets.valid],
+                "Test": [m.piece_id for m in sets.test],
+            },
             "best_epoch": best_epoch,
             "best_valid_macro_f1": best_valid.macro_f1 if best_valid else None,
         }

@@ -10,6 +10,7 @@ import json
 import re
 import shutil
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,23 @@ def long_corpus(tmp_path_factory) -> Path:
     ]
     assert main(argv) == 0
     return root
+
+
+def rewrite_registry(root: Path, edit) -> None:
+    """Replace the corpus registry under ``root`` with ``edit(records)``."""
+    records = dataset.load_registry(root / "registry.json")
+    dataset.save_registry(edit(records), root / "registry.json")
+
+
+def scored_pieces(corpus: Path, ckpt: Path, out: Path) -> set[str] | int:
+    """The piece ids a piece-level ``eval`` scores, or its exit code on failure."""
+    argv = ["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+            "--out", str(out), "--level", "piece"]
+    code = main(argv)
+    if code != 0:
+        return code
+    with open(out / "predictions.csv") as fh:
+        return {row["piece_id"] for row in csv.DictReader(fh)}
 
 
 @pytest.fixture(scope="module")
@@ -98,17 +116,22 @@ def test_subcommand_help_renders_its_defaults(command, capsys):
 
 @pytest.mark.parametrize("command", ["extract", "eval", "split"])
 def test_flags_a_command_ignores_are_usage_errors(command, corpus, trained, tmp_path):
-    """``--seed`` where nothing is seeded and the retired ``--workdir``."""
-    argv = {
-        "extract": ["--corpus", str(corpus), "--out", str(tmp_path / "f"),
-                    "--seed", "3"],
-        "eval": ["--corpus", str(corpus), "--out", str(tmp_path / "ev"),
-                 "--checkpoint", str(trained / "checkpoint.bin"),
-                 "--level", "piece", "--seed", "1"],
-        "split": ["--registry", str(corpus / "registry.json"),
-                  "--out", str(tmp_path / "s.csv"), "--workdir", str(tmp_path)],
+    """``--seed`` where nothing is seeded, the retired ``--workdir`` and
+    ``eval --split-csv`` (the checkpoint records its split)."""
+    split_csv = tmp_path / "s7.csv"
+    assert main(["split", "--registry", str(corpus / "registry.json"),
+                 "--out", str(split_csv)]) == 0
+    ev = ["--corpus", str(corpus), "--out", str(tmp_path / "ev"),
+          "--checkpoint", str(trained / "checkpoint.bin"), "--level", "piece"]
+    argvs = {
+        "extract": [["--corpus", str(corpus), "--out", str(tmp_path / "f"),
+                     "--seed", "3"]],
+        "eval": [ev + ["--seed", "1"], ev + ["--split-csv", str(split_csv)]],
+        "split": [["--registry", str(corpus / "registry.json"),
+                   "--out", str(tmp_path / "s.csv"), "--workdir", str(tmp_path)]],
     }[command]
-    assert main([command, *argv]) == 2
+    for argv in argvs:
+        assert main([command, *argv]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +365,9 @@ def test_train_bad_length_is_usage_error(corpus, tmp_path):
     assert main(argv) == 2
 
 
-def test_train_sizes_the_model_to_the_pianists_of_the_split(tmp_path):
-    """A split CSV without one pianist trains a model without that class."""
+def test_train_sizes_the_model_to_the_pianists_of_the_split(tmp_path, monkeypatch):
+    """A split CSV without one pianist trains a model without that class,
+    and ``train`` extracts only the takes the CSV assigns."""
     corpus = tmp_path / "c"
     assert main(["synth", "--out", str(corpus), "--pianists", "3", "--pieces", "3",
                  "--per-cell", "3", "--length-min", "120", "--length-max", "150",
@@ -354,9 +378,19 @@ def test_train_sizes_the_model_to_the_pianists_of_the_split(tmp_path):
     lines = split_csv.read_text().splitlines()
     split_csv.write_text("\n".join(l for l in lines if ",pianist_02," not in l) + "\n")
 
+    extracted = []
+    real_extract = pipeline.extract_performance
+
+    def counting_extract(record, root):
+        extracted.append(record.id)
+        return real_extract(record, root)
+
+    monkeypatch.setattr(pipeline, "extract_performance", counting_extract)
     out = tmp_path / "run"
     assert main(["train", "--corpus", str(corpus), "--split-csv", str(split_csv),
                  "--out", str(out), "--epochs", "1", "--length", "50"]) == 0
+    assert len(extracted) == 18
+    assert not [rec_id for rec_id in extracted if rec_id.startswith("pianist_02")]
     model, header = load_checkpoint(out / "checkpoint.bin")
     assert header["extras"]["class_names"] == ["pianist_00", "pianist_01"]
     assert model.config.n_classes == 2
@@ -402,7 +436,7 @@ def test_eval_segment_level_with_length_override(corpus, trained, tmp_path):
     records = pipeline.load_corpus(corpus)
     assignment = dataset.split(records, 7)
     matrices = pipeline.extract_corpus(records, corpus)
-    wanted = set(assignment.ids("Test"))
+    wanted = {rec_id for rec_id, s in assignment.assignment.items() if s == "Test"}
     expected = sum(matrices[r.id].rows.shape[0] // 20 for r in records if r.id in wanted)
     assert doc["metrics"]["n_eval"] == expected
     assert doc["majority_vote"]["n_eval"] == 4
@@ -416,6 +450,8 @@ def test_eval_rejects_bad_split_and_level(corpus, trained, tmp_path):
     ]
     assert main(base + ["--split", "Dev"]) == 2
     assert main(base + ["--level", "note"]) == 2
+    for length in ("1", "0", "-3"):
+        assert main(base + ["--length", length]) == 2
 
 
 def test_eval_missing_checkpoint_is_usage_error(corpus, tmp_path):
@@ -428,49 +464,66 @@ def test_eval_missing_checkpoint_is_usage_error(corpus, tmp_path):
 
 
 def test_eval_scores_the_split_the_model_was_trained_on(corpus, tmp_path):
+    """Seed- and CSV-trained models are scored on their recorded Test ids."""
     records = pipeline.load_corpus(corpus)
-    test_ids = set(dataset.split(records, 3).ids("Test"))
-    assert test_ids != set(dataset.split(records, 7).ids("Test"))
+
+    def test_ids(seed):
+        assignment = dataset.split(records, seed).assignment
+        return sorted(rec_id for rec_id, s in assignment.items() if s == "Test")
+
+    assert test_ids(3) != test_ids(7)  # 7 is the default split seed
     csv_path = tmp_path / "split3.csv"
     assert main(["split", "--registry", str(corpus / "registry.json"),
                  "--seed", "3", "--out", str(csv_path)]) == 0
 
-    def train(name, *split_args):
-        out = tmp_path / name
-        argv = ["train", "--corpus", str(corpus), "--out", str(out),
-                "--epochs", "1", "--length", "full", "--seed", "1", *split_args]
-        assert main(argv) == 0
-        return out / "checkpoint.bin"
-
-    def evaluate(name, ckpt, *split_args):
-        out = tmp_path / name
-        argv = ["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
-                "--out", str(out), "--level", "piece", *split_args]
-        code = main(argv)
-        if code != 0:
-            return code
-        with open(out / "predictions.csv") as fh:
-            return {row["piece_id"] for row in csv.DictReader(fh)}
-
-    by_seed = train("seed3", "--split-seed", "3")
-    assert evaluate("ev_seed", by_seed) == test_ids
-    assert load_checkpoint(by_seed)[1]["extras"]["split_seed"] == 3
-    assert evaluate("ev_seed_csv", by_seed, "--split-csv", str(csv_path)) == 2
-
-    by_csv = train("csv3", "--split-csv", str(csv_path))
-    assert load_checkpoint(by_csv)[1]["extras"]["split_seed"] is None
+    for name, split_args in [("seed3", ["--split-seed", "3"]),
+                             ("csv3", ["--split-csv", str(csv_path)])]:
+        run = tmp_path / name
+        assert main(["train", "--corpus", str(corpus), "--out", str(run),
+                     "--epochs", "1", "--length", "full", "--seed", "1",
+                     *split_args]) == 0
+        ckpt = run / "checkpoint.bin"
+        assert load_checkpoint(ckpt)[1]["extras"]["split"]["Test"] == test_ids(3)
+        assert scored_pieces(corpus, ckpt, tmp_path / f"ev_{name}") == set(test_ids(3))
     assert "split-seed" not in json.loads(
         (tmp_path / "csv3" / "manifest.json").read_text())["config"]
-    assert evaluate("ev_csv_missing", by_csv) == 2
-    assert evaluate("ev_csv", by_csv, "--split-csv", str(csv_path)) == test_ids
-
-    other_csv = tmp_path / "split7.csv"
-    assert main(["split", "--registry", str(corpus / "registry.json"),
-                 "--seed", "7", "--out", str(other_csv)]) == 0
-    assert evaluate("ev_other_csv", by_csv, "--split-csv", str(other_csv)) == 2
 
 
-def test_eval_unknown_pianists_fail(trained, tmp_path, capsys):
+def test_eval_scores_the_recorded_ids_of_a_grown_corpus(tmp_path, capsys):
+    """A take added after training changes no scored id; a lost one is an error."""
+    corpus = tmp_path / "c"
+    assert main(["synth", "--out", str(corpus), "--pianists", "3", "--pieces", "4",
+                 "--per-cell", "3", "--length-min", "60", "--length-max", "80",
+                 "--seed", "4"]) == 0
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--out", str(run),
+                 "--epochs", "1", "--length", "full", "--seed", "1"]) == 0
+    ckpt = run / "checkpoint.bin"
+    split7 = dataset.split(pipeline.load_corpus(corpus), 7).assignment
+    ids = {name: sorted(i for i, s in split7.items() if s == name)
+           for name in dataset.SPLITS}
+
+    def add_take3(records):
+        take0 = next(r for r in records if r.id == "pianist_00__piece_000__take0")
+        return records + [replace(take0, id="pianist_00__piece_000__take3")]
+
+    rewrite_registry(corpus, add_take3)
+    scored = scored_pieces(corpus, ckpt, tmp_path / "ev_grown")
+    assert not scored & set(ids["Train"])
+    assert scored == set(ids["Test"])
+    assert load_checkpoint(ckpt)[1]["extras"]["split"] == ids
+
+    lost = ids["Test"][0]
+    rewrite_registry(corpus, lambda records: [r for r in records if r.id != lost])
+    capsys.readouterr()
+    assert scored_pieces(corpus, ckpt, tmp_path / "ev_lost") == 1
+    assert f"lacks 1 of the checkpoint's Test record ids, first {lost}" in (
+        capsys.readouterr().err)
+
+
+def test_eval_unknown_pianists_fail(corpus, trained, tmp_path, capsys):
+    """A foreign corpus lacks the recorded ids; a relabelled take is unseen."""
+    ckpt = trained / "checkpoint.bin"
     other = tmp_path / "other"
     argv = [
         "synth", "--out", str(other), "--pianists", "3", "--pieces", "1",
@@ -478,13 +531,18 @@ def test_eval_unknown_pianists_fail(trained, tmp_path, capsys):
         "--seed", "6",
     ]
     assert main(argv) == 0
-    argv = [
-        "eval", "--corpus", str(other),
-        "--checkpoint", str(trained / "checkpoint.bin"),
-        "--out", str(tmp_path / "ev"), "--level", "piece",
-    ]
-    assert main(argv) == 1
-    assert "unseen at training time" in capsys.readouterr().err
+    capsys.readouterr()
+    assert scored_pieces(other, ckpt, tmp_path / "ev_other") == 1
+    assert "of the checkpoint's Test record ids" in capsys.readouterr().err
+
+    relabelled = tmp_path / "relabelled"
+    shutil.copytree(corpus, relabelled)
+    test_id = load_checkpoint(ckpt)[1]["extras"]["split"]["Test"][0]
+    rewrite_registry(relabelled, lambda records: [
+        replace(r, pianist="pianist_09") if r.id == test_id else r for r in records
+    ])
+    assert scored_pieces(relabelled, ckpt, tmp_path / "ev_relabelled") == 1
+    assert "unseen at training time: ['pianist_09']" in capsys.readouterr().err
 
 
 def test_eval_at_segment_level_needs_a_segment_length(

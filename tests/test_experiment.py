@@ -168,7 +168,7 @@ def toy_sets(n_rows=24, seed=0):
     normalize = lambda ms: [features.apply_normalizer(m, stats) for m in ms]
     return SplitSets(
         train=normalize(train), valid=normalize(valid), test=normalize(test),
-        normalizer=stats, class_names=["high", "low"], split_seed=None,
+        normalizer=stats, class_names=["high", "low"],
     )
 
 
@@ -331,7 +331,7 @@ def test_build_split_sets(tmp_path):
         assignment[ids[0]] = "Train"
         assignment[ids[1]] = "Valid" if piece.endswith("0") else "Test"
 
-    sets = build_split_sets(matrices, SplitAssignment(assignment, seed=0), "C4")
+    sets = build_split_sets(matrices, SplitAssignment(assignment), "C4")
     assert sets.class_names == ["pianist_00", "pianist_01"]
     assert (len(sets.train), len(sets.valid), len(sets.test)) == (4, 2, 2)
     for matrix in sets.train + sets.valid + sets.test:
@@ -342,14 +342,13 @@ def test_build_split_sets(tmp_path):
     assert stacked.mean(axis=0) == pytest.approx(np.zeros(3), abs=1e-9)
     assert stacked.std(axis=0) == pytest.approx(np.ones(3), rel=1e-6)
     assert sets.class_names.index("pianist_01") == 1
-    assert sets.split_seed == 0
 
 
 def test_build_split_sets_skips_unassigned(tmp_path):
     records = corpus_on_disk(tmp_path)
     matrices = extract_corpus(records, tmp_path)
     assignment = {rec.id: "Train" for rec in records[:-1]}
-    sets = build_split_sets(matrices, SplitAssignment(assignment, seed=0))
+    sets = build_split_sets(matrices, SplitAssignment(assignment))
     assert len(sets.train) == len(records) - 1
     assert len(sets.valid) == len(sets.test) == 0
 
