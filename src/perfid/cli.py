@@ -146,11 +146,23 @@ def _seed_list(text: str) -> list[int]:
     return seeds
 
 
-def _train_config(args: argparse.Namespace, n_classes: int = 6) -> TrainConfig:
+def _at_least(low: int):
+    """A ``type=`` for integer flags that must be at least ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise UsageError(f"want an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = f"integer >= {low}"  # argparse names the type in its error
+    return parse
+
+
+def _train_config(args: argparse.Namespace) -> TrainConfig:
     """The ``--profile`` settings with every training flag applied.
 
-    Invalid values are usage errors. ``study`` keeps the default
-    ``n_classes``: each study row re-sizes the model to its corpus.
+    Invalid values are usage errors.
     """
     overrides = {} if args.lr is None else {"lr": args.lr}
     if args.command == "train":  # study keeps TrainConfig's combo, decay and seed
@@ -158,7 +170,6 @@ def _train_config(args: argparse.Namespace, n_classes: int = 6) -> TrainConfig:
     try:
         return studies.profile_config(
             args.profile,
-            n_classes,
             batch_size=args.batch_size,
             epochs=args.epochs,
             segment_length=None if args.length == "full" else args.length,
@@ -174,6 +185,8 @@ def _train_config(args: argparse.Namespace, n_classes: int = 6) -> TrainConfig:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     out = args.out
+    if args.length_min > args.length_max:
+        raise UsageError("--length-min exceeds --length-max")
     hard = args.difficulty == "hard"
     styles = (dataset.hard_styles if hard else dataset.default_styles)(args.pianists)
     _refuse_existing([out / "registry.json"], args.force)
@@ -265,7 +278,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         assignment = dataset.assignment_from_csv(text)
         del settings["split-seed"]  # the CSV fixes the split
     records = [r for r in records if r.id in assignment.assignment]
-    config = _train_config(args, len({r.pianist for r in records}))
+    config = _train_config(args)
     settings["lr"] = config.lr  # the profile's lr when --lr is absent
 
     matrices = pipeline.extract_corpus(records, corpus)
@@ -415,15 +428,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
     p.add_argument("--seed", type=int, default=0,
                    help="root random seed (default %(default)s)")
-    p.add_argument("--pianists", type=int, default=6,
+    p.add_argument("--pianists", type=_at_least(2), default=6,
                    help="number of styles (default %(default)s)")
-    p.add_argument("--pieces", type=int, default=40,
+    p.add_argument("--pieces", type=_at_least(1), default=40,
                    help="number of compositions (default %(default)s)")
-    p.add_argument("--per-cell", type=int, default=3,
+    p.add_argument("--per-cell", type=_at_least(1), default=3,
                    help="performances per (pianist, piece) (default %(default)s)")
-    p.add_argument("--length-min", type=int, default=1100,
+    p.add_argument("--length-min", type=_at_least(1), default=1100,
                    help="min notes per piece (default %(default)s)")
-    p.add_argument("--length-max", type=int, default=2200,
+    p.add_argument("--length-max", type=_at_least(1), default=2200,
                    help="max notes per piece (default %(default)s)")
     p.add_argument("--difficulty", choices=["easy", "hard"], default="easy",
                    help="style separation, easy has wide gaps (default %(default)s)")

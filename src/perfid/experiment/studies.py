@@ -1,9 +1,11 @@
 """The three experiment suites: sequence length, feature sets, splits.
 
 Study 1 sweeps training segment lengths {400, 600, 800, 1000, Full} at
-the full feature set. Study 2 sweeps feature combinations C1..C5 at
-length 1000. Study 3 re-splits two corpora five times each and compares
-the spread of test accuracy across splits.
+the full feature set. Study 2 sweeps feature combinations C1..C5 at the
+config's segment length (1000 by default). Study 3 re-splits two corpora
+five times each and compares the spread of test accuracy across splits.
+Every row trains the config's architecture, which ``train`` sizes to the
+row's feature columns and pianists.
 
 Studies 1 and 2 are one experiment with different rows: ``_sweep``
 extracts the corpus once, splits it once, and runs repeated seeded
@@ -40,10 +42,10 @@ REPORT_METRICS = (
 )
 
 
-def profile_config(profile: str, n_classes: int = 6, **overrides) -> TrainConfig:
+def profile_config(profile: str, **overrides) -> TrainConfig:
     """The training settings of a profile; the only code that knows them.
 
-    ``desk`` trains the slim model sized to the combo and class count at
+    ``desk`` trains the slim architecture (:func:`desk_config`) at
     ``DESK_LR``; ``full`` leaves ``model=None`` (the reference network)
     at ``TrainConfig``'s lr. ``overrides`` set any ``TrainConfig`` field.
     """
@@ -51,27 +53,15 @@ def profile_config(profile: str, n_classes: int = 6, **overrides) -> TrainConfig
         return TrainConfig(**overrides)
     if profile != "desk":
         raise ValueError(f"profile must be desk or full, got {profile!r}")
-    config = TrainConfig(**{"lr": DESK_LR, **overrides})
-    if config.model is None:
-        width = len(features.resolve_schema(config.combo))
-        config = replace(config, model=desk_config(width, n_classes))
-    return config
+    return TrainConfig(**{"lr": DESK_LR, "model": desk_config(), **overrides})
 
 
 def desk_train_config(n_classes: int = 6, **overrides) -> TrainConfig:
-    """Desk-profile defaults: 60 epochs, higher lr, slim model per combo."""
-    return profile_config("desk", n_classes, **overrides)
+    """Desk-profile defaults: 60 epochs, higher lr, the slim model.
 
-
-def _row_config(
-    base: TrainConfig, combo: str, segment_length: int | None, n_classes: int
-) -> TrainConfig:
-    """``base`` for one study row; an explicit model is re-sized to the row."""
-    model = base.model
-    if model is not None:
-        width = len(features.resolve_schema(combo))
-        model = replace(model, in_features=width, n_classes=n_classes)
-    return replace(base, combo=combo, segment_length=segment_length, model=model)
+    ``n_classes`` is unused: ``train`` sizes the model to its split.
+    """
+    return profile_config("desk", **overrides)
 
 
 def _write_reports(
@@ -95,7 +85,7 @@ def _write_reports(
 
 def _sweep(
     corpus_dir: str | Path, out_dir: str | Path, seeds: tuple[int, ...],
-    split_seed: int, config: TrainConfig | None, title: str, header: list[str],
+    split_seed: int, config: TrainConfig, title: str, header: list[str],
     rows: list[tuple[tuple, str, str, int | None]],
 ) -> dict:
     """Repeated seeded runs per row on one split, and one report row each.
@@ -109,7 +99,6 @@ def _sweep(
     records = load_corpus(corpus_dir)
     assignment = split(records, split_seed)
     matrices = extract_corpus(records, corpus_dir)
-    base = config if config is not None else desk_train_config()
 
     aggregates, md_rows, csv_rows = {}, [], []
     sets_combo = None
@@ -117,7 +106,7 @@ def _sweep(
         if combo != sets_combo:
             sets = build_split_sets(matrices, assignment, combo)
             sets_combo = combo
-        cfg = _row_config(base, combo, length, len(sets.class_names))
+        cfg = replace(config, combo=combo, segment_length=length)
         agg = repeat_runs(cfg, list(seeds), sets, out_dir=out_dir / run_name)
         aggregates[cells[0]] = agg
         mean, std = agg["mean"], agg["std"]
@@ -139,9 +128,9 @@ def _sweep(
 def study1(
     corpus_dir: str | Path,
     out_dir: str | Path,
-    seeds: tuple[int, ...] = (1, 2, 3),
-    split_seed: int = 7,
-    config: TrainConfig | None = None,
+    seeds: tuple[int, ...],
+    split_seed: int,
+    config: TrainConfig,
 ) -> dict:
     """Sequence-length sweep at the full feature combination."""
     rows = []
@@ -155,13 +144,13 @@ def study1(
 def study2(
     corpus_dir: str | Path,
     out_dir: str | Path,
-    seeds: tuple[int, ...] = (1, 2, 3),
-    split_seed: int = 7,
-    config: TrainConfig | None = None,
+    seeds: tuple[int, ...],
+    split_seed: int,
+    config: TrainConfig,
 ) -> dict:
-    """Feature-combination sweep at segment length 1000."""
-    rows = [((combo, len(features.resolve_schema(combo))), combo, combo, 1000)
-            for combo in STUDY2_COMBOS]
+    """Feature-combination sweep at the config's segment length."""
+    rows = [((combo, len(features.resolve_schema(combo))), combo, combo,
+             config.segment_length) for combo in STUDY2_COMBOS]
     return _sweep(corpus_dir, out_dir, seeds, split_seed, config,
                   "Feature combinations", ["Combination", "Features"], rows)
 
@@ -170,8 +159,8 @@ def study3(
     corpus_a: str | Path,
     corpus_b: str | Path,
     out_dir: str | Path,
-    split_seeds: tuple[int, ...] = (101, 102, 103, 104, 105),
-    config: TrainConfig | None = None,
+    split_seeds: tuple[int, ...],
+    config: TrainConfig,
 ) -> dict:
     """Split sensitivity: re-split each corpus and compare accuracy spread.
 
@@ -183,7 +172,6 @@ def study3(
     out_dir.mkdir(parents=True, exist_ok=True)
     if len(split_seeds) < 2:
         raise ValueError("split sensitivity needs at least 2 split seeds")
-    base = config if config is not None else desk_train_config()
 
     corpora = {"A": Path(corpus_a), "B": Path(corpus_b)}
     results: dict[str, dict] = {}
@@ -194,15 +182,9 @@ def study3(
         accuracies = []
         for split_seed in split_seeds:
             assignment = split(records, int(split_seed))
-            sets = build_split_sets(matrices, assignment, base.combo)
-            cfg = _row_config(
-                replace(base, seed=int(split_seed)),
-                base.combo,
-                base.segment_length,
-                len(sets.class_names),
-            )
+            sets = build_split_sets(matrices, assignment, config.combo)
             run_dir = out_dir / f"corpus{tag}" / f"split{split_seed}"
-            result = train(cfg, sets, out_dir=run_dir)
+            result = train(replace(config, seed=int(split_seed)), sets, out_dir=run_dir)
             scores = score_test(result, sets, ("segment",), run_dir)
             accuracies.append(scores["segment_accuracy"])
 

@@ -39,9 +39,9 @@ class TrainConfig:
     """One training run, fully determined by its fields.
 
     Model selection is fixed: the epoch with the best validation macro-F1
-    wins. ``model=None`` builds the full-size architecture sized to the
-    feature combination; pass :func:`~perfid.neural.desk_config` output
-    for CPU-budget experiments.
+    wins. ``model`` names the architecture only: ``None`` is the reference
+    network, :func:`~perfid.neural.desk_config` the slim one for CPU-budget
+    experiments. :func:`train` sizes it to the split's columns and classes.
     """
 
     batch_size: int = 16
@@ -64,12 +64,6 @@ class TrainConfig:
             raise ValueError("segment length must be >= 2 or None for Full")
         features.resolve_schema(self.combo)  # raises on unknown combos
 
-    def resolve_model(self, n_classes: int) -> ModelConfig:
-        if self.model is not None:
-            return self.model
-        width = len(features.resolve_schema(self.combo))
-        return ModelConfig(in_features=width, n_classes=n_classes)
-
 
 @dataclass
 class TrainResult:
@@ -84,7 +78,6 @@ class TrainResult:
 @dataclass
 class EvalResult:
     metrics: Metrics
-    level: str
     predictions: list[tuple[str, int, int, int]]  # piece_id, seg idx, true, pred
     majority: Metrics | None = None
 
@@ -132,8 +125,10 @@ def train(
 ) -> TrainResult:
     """Run one seeded training job and keep the best-validation weights.
 
-    Writes ``epochs.csv`` and ``checkpoint.bin`` under ``out_dir`` when
-    given. Identical config and data produce identical logs and weights.
+    The network takes ``config.model``'s architecture, sized to the
+    split's feature columns and pianists. Writes ``epochs.csv`` and
+    ``checkpoint.bin`` under ``out_dir`` when given. Identical config and
+    data produce identical logs and weights.
     """
     n_classes = len(sets.class_names)
     train_items = _items_from_matrices(
@@ -147,16 +142,12 @@ def train(
     if not valid_items:
         raise EmptySplit("validation split yielded no samples")
 
-    model_cfg = config.resolve_model(n_classes)
-    if len(sets.normalizer.columns) != model_cfg.in_features:
-        raise SchemaMismatch(
-            f"features have {len(sets.normalizer.columns)} columns, model "
-            f"expects {model_cfg.in_features}"
-        )
-    if model_cfg.n_classes != n_classes:
-        raise SchemaMismatch(
-            f"the split has {n_classes} classes, model predicts {model_cfg.n_classes}"
-        )
+    columns = sets.normalizer.columns
+    if features.COMBINATIONS[config.combo] != columns:
+        raise SchemaMismatch(f"combo {config.combo} does not match columns {columns}")
+    model_cfg = replace(
+        config.model or ModelConfig(), in_features=len(columns), n_classes=n_classes
+    )
     model = PianistConvNet(model_cfg, seed=config.seed)
     optimizer = AdamState(
         model.parameters(), lr=config.lr, weight_decay=config.weight_decay
@@ -322,9 +313,7 @@ def evaluate(
             np.array([piece_true[pid] for pid in piece_ids]), votes, n_classes
         )
 
-    return EvalResult(
-        metrics=metrics, level=level, predictions=predictions, majority=majority
-    )
+    return EvalResult(metrics=metrics, predictions=predictions, majority=majority)
 
 
 def predictions_to_csv(predictions: list[tuple[str, int, int, int]]) -> str:

@@ -19,7 +19,7 @@ from helpers import tree_hashes
 from perfid import dataset, features
 from perfid.cli import main
 from perfid.experiment import pipeline, studies
-from perfid.neural import ModelConfig, desk_config, load_checkpoint
+from perfid.neural import desk_config, load_checkpoint
 
 SMALL = [
     "--pianists", "2", "--pieces", "2", "--per-cell", "3",
@@ -171,6 +171,19 @@ def test_synth_rerun_is_byte_identical(tmp_path):
 def test_synth_rejects_unknown_difficulty(tmp_path):
     argv = ["synth", "--out", str(tmp_path / "c"), "--difficulty", "brutal"]
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("bad", [
+    ["--pieces", "-2"], ["--per-cell", "-1"], ["--pianists", "1"],
+    ["--length-min", "0"], ["--length-min", "50", "--length-max", "10"],
+    ["--pieces", "0"], ["--per-cell", "0"],
+])
+def test_synth_bad_counts_are_usage_errors(bad, tmp_path):
+    out = tmp_path / "c"
+    argv = ["synth", "--out", str(out), "--pianists", "2", "--pieces", "2",
+            "--length-min", "20", "--length-max", "30", *bad]
+    assert main(argv) == 2
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +407,21 @@ def test_train_sizes_the_model_to_the_pianists_of_the_split(tmp_path, monkeypatc
     model, header = load_checkpoint(out / "checkpoint.bin")
     assert header["extras"]["class_names"] == ["pianist_00", "pianist_01"]
     assert model.config.n_classes == 2
+
+
+@pytest.mark.parametrize("profile", ["desk", "full"])
+def test_train_on_a_one_pianist_split_fails(profile, corpus, tmp_path, capsys):
+    split_csv = tmp_path / "split.csv"
+    assert main(["split", "--registry", str(corpus / "registry.json"),
+                 "--out", str(split_csv)]) == 0
+    lines = split_csv.read_text().splitlines()
+    split_csv.write_text("\n".join(l for l in lines if ",pianist_01," not in l) + "\n")
+    capsys.readouterr()
+    argv = ["train", "--corpus", str(corpus), "--split-csv", str(split_csv),
+            "--out", str(tmp_path / "run"), "--epochs", "1", "--length", "20",
+            "--profile", profile]
+    assert main(argv) == 1
+    assert "error: ValueError: need at least two classes" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -622,13 +650,28 @@ def test_study2_mini_sweep(long_corpus, tmp_path):
     assert [int(r["features"]) for r in rows] == [7, 6, 6, 3, 13]
 
 
+def test_study2_trains_at_the_requested_length(tmp_path):
+    corpus = tmp_path / "c"
+    assert main(["synth", "--out", str(corpus), "--pianists", "2", "--pieces", "2",
+                 "--per-cell", "3", "--length-min", "300", "--length-max", "400",
+                 "--seed", "5"]) == 0
+    out = tmp_path / "s2"
+    assert main(["study", "--id", "study2", "--corpus", str(corpus), "--out", str(out),
+                 "--length", "100", "--seeds", "1,2", "--epochs", "1"]) == 0
+    checkpoints = sorted(out.glob("C*/seed*/checkpoint.bin"))
+    assert len(checkpoints) == 10
+    for path in checkpoints:
+        assert load_checkpoint(path)[1]["extras"]["segment_length"] == 100
+
+
 @pytest.mark.parametrize("study_id", ["study1", "study2"])
 def test_study_rows_train_the_requested_profile(study_id, corpus, tmp_path, monkeypatch):
     """``--profile full`` sweeps the reference network; desk the slim one."""
     rows = []
 
     def record_row(config, seeds, sets, out_dir=None):
-        rows.append((config, len(sets.class_names)))
+        rows.append(config)
+        assert features.COMBINATIONS[config.combo] == sets.normalizer.columns
         return {"mean": {}, "std": {}}
 
     monkeypatch.setattr(studies, "repeat_runs", record_row)
@@ -640,18 +683,10 @@ def test_study_rows_train_the_requested_profile(study_id, corpus, tmp_path, monk
         assert main(argv) == 0
     full, desk = rows[: len(rows) // 2], rows[len(rows) // 2 :]
 
-    for config, n_classes in full:
-        model = config.resolve_model(n_classes)
-        assert config.lr == 8e-5
-        assert model.channels == ModelConfig().channels == (128, 256, 512, 512, 768)
-        assert model.in_features == len(features.resolve_schema(config.combo))
+    assert {(c.lr, c.model) for c in full} == {(8e-5, None)}
+    assert {(c.lr, c.model) for c in desk} == {(studies.DESK_LR, desk_config())}
     if study_id == "study2":
-        config, n_classes = full[0]
-        assert (config.combo, config.resolve_model(n_classes).in_features) == ("C1", 7)
-    for config, n_classes in desk:
-        width = len(features.resolve_schema(config.combo))
-        assert config.lr == studies.DESK_LR
-        assert config.model == desk_config(width, n_classes)
+        assert [c.combo for c in full] == list(studies.STUDY2_COMBOS)
 
 
 def test_study3_mini_split_sensitivity(corpus, tmp_path, capsys):

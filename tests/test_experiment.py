@@ -10,23 +10,13 @@ import pytest
 
 from perfid import features
 from perfid.dataset import SplitAssignment, default_styles, synth_generate
-from perfid.experiment import (
-    EmptySplit,
-    EvalResult,
+from perfid.experiment.metrics import compute_metrics, confusion_matrix, from_confusion
+from perfid.experiment.pipeline import (
     ExtractionFailed,
-    SchemaMismatch,
     SplitSets,
-    TrainConfig,
     build_split_sets,
-    compute_metrics,
-    confusion_matrix,
-    evaluate,
     extract_corpus,
-    format_mean_std,
-    from_confusion,
     load_corpus,
-    repeat_runs,
-    train,
 )
 from perfid.experiment.studies import (
     DESK_LR,
@@ -34,8 +24,18 @@ from perfid.experiment.studies import (
     STUDY2_COMBOS,
     desk_train_config,
 )
-from perfid.experiment.training import epoch_log_to_csv, predictions_to_csv
-from perfid.neural import ModelConfig, load_checkpoint
+from perfid.experiment.training import (
+    EmptySplit,
+    SchemaMismatch,
+    TrainConfig,
+    epoch_log_to_csv,
+    evaluate,
+    format_mean_std,
+    predictions_to_csv,
+    repeat_runs,
+    train,
+)
+from perfid.neural import ModelConfig, desk_config, load_checkpoint
 
 
 def test_confusion_matrix_counts():
@@ -119,21 +119,17 @@ def test_train_config_validation():
         TrainConfig(segment_length=1)
     with pytest.raises(features.UnknownCombination):
         TrainConfig(combo="C7")
-    assert TrainConfig(combo="C4").resolve_model(6).in_features == 3
-    assert TrainConfig(combo="C5").resolve_model(2).n_classes == 2
 
 
 def test_desk_train_config_defaults_and_overrides():
     config = desk_train_config()
     assert config.lr == DESK_LR
     assert config.epochs == 60
-    # the desk profile trains the slim architecture, sized to the combo
-    assert config.model.in_features == 13
+    # the desk profile names the slim architecture; train sizes it
     assert config.model.channels == (16, 24, 32, 32, 48)
     fast = desk_train_config(n_classes=2, epochs=2, combo="C4")
     assert (fast.epochs, fast.combo) == (2, "C4")
-    assert fast.model.in_features == 3
-    assert fast.model.n_classes == 2
+    assert fast.model == desk_config()
     explicit = desk_train_config(model=TOY_MODEL, combo="C4")
     assert explicit.model is TOY_MODEL
     assert STUDY1_LENGTHS[-1] is None
@@ -255,15 +251,15 @@ def test_train_empty_split_errors():
         train(toy_config(segment_length=1000), sets)
 
 
-def test_train_schema_mismatch():
-    sets = toy_sets()
-    wide = ModelConfig(in_features=5, n_classes=2, channels=(4,),
-                       kernel_size=3, strides=(1,), conv_dropout=(0.0,))
+def test_train_sizes_the_model_to_the_split():
+    sets = toy_sets()  # 3 columns (C4), 2 classes
+    missized = replace(TOY_MODEL, in_features=5, n_classes=3)
+    sized = train(toy_config(epochs=1, model=missized), sets).model.config
+    assert sized == TOY_MODEL
+    reference = train(toy_config(epochs=1, model=None), sets).model.config
+    assert reference == ModelConfig(in_features=3, n_classes=2)
     with pytest.raises(SchemaMismatch):
-        train(toy_config(model=wide), sets)
-    three_classes = replace(TOY_MODEL, n_classes=3)
-    with pytest.raises(SchemaMismatch):
-        train(toy_config(model=three_classes), sets)
+        train(toy_config(combo="C5"), sets)
 
 
 def test_repeat_runs_aggregates(tmp_path):
