@@ -6,6 +6,15 @@ onset difference after the score timeline has been affinely mapped onto
 the performance timeline (least-squares fit over a per-pitch greedy
 pre-match), and skipping a note on either side costs 1.0. Unmatched
 performance notes are "extra", unmatched score notes are "missing".
+
+Each DP pass is exact but computes only a certified band of diagonals.
+The pass is given an upper bound C on its optimal cost: the cheapest of a
+greedy same-pitch path and every path already solved for this
+performance, each costed under the pass's own map. Since a path through
+cell (i, j) skips at least |i - j| + |(n - m) - (i - j)| notes, no path of
+cost <= C leaves the diagonals within reach of that many skips (Ukkonen's
+cutoff), so the band needs no widen-and-retry. Within one ``align`` call
+each time map is solved at most once.
 """
 
 from __future__ import annotations
@@ -112,41 +121,132 @@ def greedy_pitch_prematch(perf: NoteList, score: NoteList) -> list[tuple[int, in
     return anchors
 
 
-def _dp_match(
+def _greedy_path(
     perf_on: np.ndarray,
     perf_pitch: np.ndarray,
     score_mapped: np.ndarray,
     score_pitch: np.ndarray,
 ) -> list[tuple[int, int]]:
-    """Minimum-cost monotonic matching for one fixed time map."""
+    """A cheap monotone same-pitch path, used only to bound a DP pass.
+
+    Each performance note takes the score note of its pitch after the last
+    match that lies nearest in time, when their onsets differ by less than
+    the skip penalty.
+    """
+    lanes: dict[int, list[int]] = {}
+    for j, p in enumerate(score_pitch.tolist()):
+        lanes.setdefault(p, []).append(j)
+    heads = dict.fromkeys(lanes, 0)
+    mapped = score_mapped.tolist()
+    pairs: list[tuple[int, int]] = []
+    last = -1
+    for i, (t, p) in enumerate(zip(perf_on.tolist(), perf_pitch.tolist())):
+        lane = lanes.get(p)
+        if lane is None:
+            continue
+        k = heads[p]
+        while k < len(lane) and (lane[k] <= last or mapped[lane[k]] <= t - SKIP_PENALTY):
+            k += 1
+        while k + 1 < len(lane) and abs(t - mapped[lane[k + 1]]) < abs(t - mapped[lane[k]]):
+            k += 1
+        if k < len(lane) and abs(t - mapped[lane[k]]) < SKIP_PENALTY:
+            last = lane[k]
+            pairs.append((i, last))
+            k += 1
+        heads[p] = k
+    return pairs
+
+
+def _path_cost(
+    pairs: list[tuple[int, int]],
+    perf_on: np.ndarray,
+    score_mapped: np.ndarray,
+) -> float:
+    """DP objective of a matching: skips plus matched onset distances."""
+    cost = SKIP_PENALTY * ((len(perf_on) - len(pairs)) + (len(score_mapped) - len(pairs)))
+    if pairs:
+        idx = np.asarray(pairs)
+        cost += float(np.abs(perf_on[idx[:, 0]] - score_mapped[idx[:, 1]]).sum())
+    return cost
+
+
+def _dp_match(
+    perf_on: np.ndarray,
+    perf_pitch: np.ndarray,
+    score_mapped: np.ndarray,
+    score_pitch: np.ndarray,
+    bound: float,
+    table: np.ndarray,
+) -> list[tuple[int, int]]:
+    """Minimum-cost monotonic matching for one fixed time map.
+
+    ``bound`` is the cost of some monotone matching under this map. Only
+    the diagonals that a path within the bound (plus one skip of slack
+    against rounding) can reach are computed; see the module docstring.
+    In-band cells use the dense recurrence's float operations in the same
+    order, and every cell a path within the bound visits holds its dense
+    value, so the pairs equal the full table's. ``table`` is float64
+    scratch of at least (n + 1) * (m + 3) values; only the band's share
+    of it is written.
+    """
     n, m = len(perf_on), len(score_mapped)
-    dp = np.empty((n + 1, m + 1), dtype=np.float64)
+    diff = n - m
+    half = int((bound / SKIP_PENALTY + 1 - abs(diff)) // 2)
+    d_hi = max(0, diff) + half
+    w = min(m + 1, d_hi - (min(0, diff) - half) + 1)
+    # row i holds columns [start[i], start[i] + w) in slots 1..w; slots 0
+    # and w + 1 are inf sentinels, so out-of-band neighbours read as inf
+    start = np.clip(np.arange(n + 1) - d_hi, 0, m + 1 - w).tolist()
+    dp = table[: (n + 1) * (w + 2)].reshape(n + 1, w + 2)
+    dp[:, 0] = np.inf
+    dp[:, w + 1] = np.inf
     col = np.arange(m + 1, dtype=np.float64) * SKIP_PENALTY
-    dp[0] = col
-    for i in range(1, n + 1):
-        match_cost = np.abs(perf_on[i - 1] - score_mapped)
-        match_cost[score_pitch != perf_pitch[i - 1]] = np.inf
-        cand = dp[i - 1] + SKIP_PENALTY  # skip performance note i-1
-        cand[1:] = np.minimum(cand[1:], dp[i - 1, :-1] + match_cost)  # diagonal match
+    dp[0, 1 : w + 1] = col[:w]
+
+    # slot j holds score note j - 1 where its pitch is the lane's and inf
+    # elsewhere, so |onset - slot| is the dense match cost; slot 0 never matches
+    lanes = {
+        p: np.concatenate(([np.inf], np.where(score_pitch == p, score_mapped, np.inf)))
+        for p in np.unique(perf_pitch).tolist()
+    }
+    skip = np.full(w, SKIP_PENALTY)
+    cand = np.empty(w)
+    diag = np.empty(w)
+    for i, (onset, pitch) in enumerate(zip(perf_on.tolist(), perf_pitch.tolist()), 1):
+        lo = start[i]
+        shift = lo - start[i - 1]  # 0 or 1
+        prev = dp[i - 1]
+        np.add(prev[1 + shift : 1 + shift + w], skip, out=cand)  # skip performance note i-1
+        np.subtract(onset, lanes[pitch][lo : lo + w], out=diag)
+        np.abs(diag, out=diag)
+        np.add(prev[shift : shift + w], diag, out=diag)  # diagonal match
+        np.minimum(cand, diag, out=cand)
         # fold in the left-neighbour skip via a running minimum
-        dp[i] = np.minimum.accumulate(cand - col) + col
+        band_col = col[lo : lo + w]
+        np.subtract(cand, band_col, out=cand)
+        row = dp[i, 1 : w + 1]
+        np.fmin.accumulate(cand, out=row)  # minimum's values (no NaN), faster
+        np.add(row, band_col, out=row)
+
+    def cell(i: int, j: int) -> float:
+        return dp.item(i, j - start[i] + 1)
 
     # the running-minimum formulation reassociates float sums, so backtrack
     # with a tolerance far below any meaningful cost difference
-    tol = 1e-9 * max(1.0, float(dp[n, m]))
+    tol = 1e-9 * max(1.0, cell(n, m))
+    perf_t, score_t = perf_on.tolist(), score_mapped.tolist()
+    perf_p, score_p = perf_pitch.tolist(), score_pitch.tolist()
     pairs: list[tuple[int, int]] = []
     i, j = n, m
     while i > 0 and j > 0:
-        cost = (
-            abs(perf_on[i - 1] - score_mapped[j - 1])
-            if perf_pitch[i - 1] == score_pitch[j - 1]
-            else np.inf
-        )
-        if np.isfinite(cost) and dp[i, j] >= dp[i - 1, j - 1] + cost - tol:
+        here = cell(i, j)
+        if perf_p[i - 1] == score_p[j - 1] and (
+            here >= cell(i - 1, j - 1) + abs(perf_t[i - 1] - score_t[j - 1]) - tol
+        ):
             pairs.append((i - 1, j - 1))
             i -= 1
             j -= 1
-        elif dp[i, j] >= dp[i - 1, j] + SKIP_PENALTY - tol:
+        elif here >= cell(i - 1, j) + SKIP_PENALTY - tol:
             i -= 1
         else:
             j -= 1
@@ -264,6 +364,13 @@ def align(perf: NoteList, score: NoteList) -> Alignment:
     pre-match can pull the map onto a shifted diagonal that confirms
     itself), robust anchor fits seed alternative candidate maps and the
     cheapest alignment wins.
+
+    Solved maps are remembered for the call, so a convergence that revisits
+    a map (a seed that equals the first fit, a refit that lands on a map
+    another seed already reached) runs no DP pass for it, and every known
+    path bounds the band of each later pass. One DP table of the dense
+    size is requested per call, but passes write only their band's share,
+    so peak memory follows the widest band rather than n * m.
     """
     if len(perf) == 0 or len(score) == 0:
         raise EmptyInput("cannot align an empty note list")
@@ -278,31 +385,35 @@ def align(perf: NoteList, score: NoteList) -> Alignment:
         idx = np.asarray(pairs)
         return fit_time_map(score_on[idx[:, 1]], perf_on[idx[:, 0]])
 
+    solved: dict[tuple[float, float], list[tuple[int, int]]] = {}
+    # One dense-sized table serves every pass, and each pass writes only its
+    # band's share: untouched pages cost no memory, later passes fault in no
+    # new pages, and no freed table is left in the allocator's heap.
+    table = np.empty((n + 1) * (m + 3), dtype=np.float64)
+
+    def solve(a: float, b: float) -> list[tuple[int, int]]:
+        if (a, b) not in solved:
+            mapped = a * score_on + b
+            greedy = _greedy_path(perf_on, perf_pitch, mapped, score_pitch)
+            bound = min(
+                _path_cost(p, perf_on, mapped) for p in [greedy, *solved.values()]
+            )
+            solved[(a, b)] = _dp_match(
+                perf_on, perf_pitch, mapped, score_pitch, bound, table
+            )
+        return solved[(a, b)]
+
     def converge(a: float, b: float):
-        pairs = _dp_match(perf_on, perf_pitch, a * score_on + b, score_pitch)
+        pairs = solve(a, b)
         for _ in range(MAX_REFINEMENTS):
             if len(pairs) < 2:
                 break
-            a2, b2 = refit(pairs)
-            if (a2, b2) == (a, b):
-                break
-            a, b = a2, b2
-            new_pairs = _dp_match(
-                perf_on, perf_pitch, a * score_on + b, score_pitch
-            )
+            a, b = refit(pairs)
+            new_pairs = solve(a, b)
             if new_pairs == pairs:
                 break
             pairs = new_pairs
         return pairs, a, b
-
-    def total_cost(pairs: list[tuple[int, int]], a: float, b: float) -> float:
-        cost = SKIP_PENALTY * ((n - len(pairs)) + (m - len(pairs)))
-        if pairs:
-            idx = np.asarray(pairs)
-            cost += float(
-                np.abs(perf_on[idx[:, 0]] - (a * score_on[idx[:, 1]] + b)).sum()
-            )
-        return cost
 
     anchors = greedy_pitch_prematch(perf, score)
     anchor_s = score_on[[j for _, j in anchors]]
@@ -331,10 +442,9 @@ def align(perf: NoteList, score: NoteList) -> Alignment:
                 )
             )
         for seed in seeds:
-            if seed == (a0, b0):
-                continue
             alt_pairs, a1, b1 = converge(*seed)
-            if total_cost(alt_pairs, a1, b1) < total_cost(pairs, a, b):
+            alt_cost = _path_cost(alt_pairs, perf_on, a1 * score_on + b1)
+            if alt_cost < _path_cost(pairs, perf_on, a * score_on + b):
                 pairs, a, b = alt_pairs, a1, b1
 
     matched_p = {p for p, _ in pairs}

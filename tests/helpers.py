@@ -112,3 +112,40 @@ def min_alignment_cost(perf, score, a, b, skip=1.0):
         total = match_cost + skip * (n + m - 2 * k)
         best = min(best, float(total[feasible].min()))
     return best
+
+
+def dense_dp_pairs(perf_on, perf_pitch, score_mapped, score_pitch, skip=1.0):
+    """Reference for ``perfid.align._dp_match``: the full (n+1)(m+1) table.
+
+    Same recurrence, float operations and backtrack as the banded DP,
+    with no band, so the two must return identical pairs.
+    """
+    n, m = len(perf_on), len(score_mapped)
+    dp = np.empty((n + 1, m + 1), dtype=np.float64)
+    col = np.arange(m + 1, dtype=np.float64) * skip
+    dp[0] = col
+    for i in range(1, n + 1):
+        match_cost = np.abs(perf_on[i - 1] - score_mapped)
+        match_cost[score_pitch != perf_pitch[i - 1]] = np.inf
+        cand = dp[i - 1] + skip
+        cand[1:] = np.minimum(cand[1:], dp[i - 1, :-1] + match_cost)
+        dp[i] = np.minimum.accumulate(cand - col) + col
+    tol = 1e-9 * max(1.0, float(dp[n, m]))
+    pairs = []
+    i, j = n, m
+    while i > 0 and j > 0:
+        cost = (
+            abs(perf_on[i - 1] - score_mapped[j - 1])
+            if perf_pitch[i - 1] == score_pitch[j - 1]
+            else np.inf
+        )
+        if np.isfinite(cost) and dp[i, j] >= dp[i - 1, j - 1] + cost - tol:
+            pairs.append((i - 1, j - 1))
+            i -= 1
+            j -= 1
+        elif dp[i, j] >= dp[i - 1, j] + skip - tol:
+            i -= 1
+        else:
+            j -= 1
+    pairs.reverse()
+    return pairs

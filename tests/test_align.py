@@ -1,13 +1,24 @@
 """Tests for the DP aligner, information loss, and the TSV export."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import min_alignment_cost, note_list, random_alignment_instance
+import perfid.align
+from helpers import (
+    dense_dp_pairs,
+    min_alignment_cost,
+    note_list,
+    random_alignment_instance,
+)
 from perfid import dataset
 from perfid.align import (
     Alignment,
@@ -18,6 +29,7 @@ from perfid.align import (
     export_alignment,
     filter_matched,
     fit_time_map,
+    greedy_pitch_prematch,
     info_loss,
 )
 from perfid.midi_io import NoteList
@@ -111,6 +123,95 @@ def test_dp_matches_exhaustive_minimum():
         got = alignment_cost(result, perf, score)
         want = min_alignment_cost(perf, score, a, b)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def note_arrays(notes):
+    return (
+        np.array([x.onset for x in notes.notes]),
+        np.array([x.pitch for x in notes.notes]),
+    )
+
+
+def test_banded_dp_equals_dense_reference():
+    # Every map align may meet (the pre-match fit, the settled map, and
+    # shifted or stretched ones), each under a tight, a greedy and a
+    # vacuous bound: the band must never change a pair.
+    styles = dataset.hard_styles(3) + dataset.default_styles(3)
+    for k in range(30):
+        rng = np.random.default_rng([k, 8])
+        score = dataset._make_score(rng, 150 + 15 * k)
+        perf = dataset.render_performance(score, styles[k % len(styles)], rng)
+        perf_on, perf_pitch = note_arrays(perf)
+        score_on, score_pitch = note_arrays(score)
+        anchors = greedy_pitch_prematch(perf, score)
+        fitted = fit_time_map(
+            score_on[[j for _, j in anchors]], perf_on[[i for i, _ in anchors]]
+        )
+        a, b = align(perf, score).time_map
+        for ma, mb in (fitted, (a, b), (a, b + 0.3), (1.1 * a, b)):
+            mapped = ma * score_on + mb
+            want = dense_dp_pairs(perf_on, perf_pitch, mapped, score_pitch)
+            greedy = perfid.align._greedy_path(perf_on, perf_pitch, mapped, score_pitch)
+            for bound in (
+                perfid.align._path_cost(want, perf_on, mapped),
+                perfid.align._path_cost(greedy, perf_on, mapped),
+                len(perf_on) + len(score_on),
+            ):
+                table = np.empty((len(perf_on) + 1) * (len(score_on) + 3))
+                got = perfid.align._dp_match(
+                    perf_on, perf_pitch, mapped, score_pitch, bound, table
+                )
+                assert got == want, (k, (ma, mb), bound)
+
+
+def test_no_time_map_is_solved_twice(monkeypatch):
+    rng = np.random.default_rng([0, 600])
+    score = dataset._make_score(rng, 600)
+    perf = dataset.render_performance(score, dataset.hard_styles(2)[0], rng)
+    maps = []
+    solve = perfid.align._dp_match
+
+    def recording(*args):
+        maps.append(args[2].tobytes())
+        return solve(*args)
+
+    monkeypatch.setattr(perfid.align, "_dp_match", recording)
+    align(perf, score)
+    assert len(maps) > 1
+    assert len(set(maps)) == len(maps)
+
+
+def test_memory_stays_bounded_on_a_10k_note_take():
+    # A dense (n+1)(m+1) float64 table alone would be 763 MB here. The
+    # child reads its own high-water RSS: ru_maxrss of a spawned process
+    # starts at the spawning process's peak, which is this test runner's.
+    code = textwrap.dedent(
+        """
+        from dataclasses import replace
+        import numpy as np
+        from perfid import dataset
+        from perfid.align import align
+        rng = np.random.default_rng([0, 10000])
+        score = dataset._make_score(rng, 10000)
+        style = replace(
+            dataset.default_styles(3)[0], extra_rate=0.0, missing_rate=0.0
+        )
+        perf = dataset.render_performance(score, style, rng)
+        assert len(align(perf, score).pairs) == 10000
+        with open("/proc/self/status") as status:
+            print(next(line.split()[1] for line in status if line.startswith("VmHWM")))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(perfid.align.__file__).parents[1])},
+        timeout=600,
+    )
+    peak_mb = int(proc.stdout.split()[-1]) / 1024
+    assert peak_mb < 250, peak_mb
 
 
 def test_alignment_invariants_on_random_instances():
