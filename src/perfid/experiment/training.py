@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -58,8 +59,10 @@ class TrainConfig:
             raise ValueError("batch size must be >= 2 (batch norm)")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if self.lr <= 0 or self.weight_decay < 0:
-            raise ValueError("lr must be positive, weight decay non-negative")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ValueError("lr must be positive and finite")
+        if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
+            raise ValueError("weight decay must be non-negative and finite")
         if self.segment_length is not None and self.segment_length < 2:
             raise ValueError("segment length must be >= 2 or None for Full")
         features.resolve_schema(self.combo)  # raises on unknown combos

@@ -149,3 +149,31 @@ def dense_dp_pairs(perf_on, perf_pitch, score_mapped, score_pitch, skip=1.0):
             j -= 1
     pairs.reverse()
     return pairs
+
+
+def adam_step_expression(params, state):
+    """Reference for ``perfid.neural.adam_step``: whole-array expressions.
+
+    The same ufuncs in the same order with the same scalars as the
+    sliced update, so the two must agree bit for bit.
+    """
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    for p, m, v in zip(params, state.m, state.v):
+        g = p.grad
+        if g is None:
+            continue
+        if state.weight_decay > 0.0:
+            g = g + state.weight_decay * p.data
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        p.data -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(
+            p.data.dtype, copy=False
+        )
+    return params

@@ -378,6 +378,21 @@ def test_train_bad_length_is_usage_error(corpus, tmp_path):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize("flag", ["--lr", "--weight-decay"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_non_finite_lr_or_decay_is_usage_error(flag, value, corpus, tmp_path,
+                                                      monkeypatch):
+    def extract_corpus(*args, **kwargs):
+        raise AssertionError("the corpus was extracted before the flag was checked")
+
+    monkeypatch.setattr(pipeline, "extract_corpus", extract_corpus)
+    argv = [
+        "train", "--corpus", str(corpus), "--out", str(tmp_path / "t"),
+        flag, value,
+    ]
+    assert main(argv) == 2
+
+
 def test_train_sizes_the_model_to_the_pianists_of_the_split(tmp_path, monkeypatch):
     """A split CSV without one pianist trains a model without that class,
     and ``train`` extracts only the takes the CSV assigns."""

@@ -121,6 +121,15 @@ def test_train_config_validation():
         TrainConfig(combo="C7")
 
 
+@pytest.mark.parametrize("bad", [
+    {"lr": float("nan")}, {"lr": float("inf")},
+    {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
+])
+def test_train_config_rejects_non_finite_lr_and_decay(bad):
+    with pytest.raises(ValueError):
+        TrainConfig(**bad)
+
+
 def test_desk_train_config_defaults_and_overrides():
     config = desk_train_config()
     assert config.lr == DESK_LR

@@ -1,6 +1,7 @@
 """Gradient checks, parameter accounting, and checkpoint round trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,8 +30,9 @@ from perfid.neural import (
     softmax_cross_entropy,
 )
 from perfid.neural.model import CorruptCheckpoint
+from perfid.neural.optim import SLICE, DtypeMismatch
 
-from helpers import check_gradients, leaf, weighted_sum
+from helpers import adam_step_expression, check_gradients, leaf, weighted_sum
 
 
 def test_conv1d_gradients():
@@ -459,6 +461,76 @@ def test_adam_uses_accumulated_grads_by_default():
     state = AdamState([p], lr=0.01)
     adam_step([p], state)
     assert p.data[0] == pytest.approx(1.0 - 0.01 * 0.5 / (0.5 + 1e-8))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+def test_adam_matches_expression_form_bit_for_bit(dtype, weight_decay):
+    rng = np.random.default_rng(29)
+    shapes = [(5, SLICE // 2 + 7), (4, 3, 2), (7,), (1,)]  # first: > SLICE, not a multiple
+    inits = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+    sides = []
+    for _ in range(2):
+        params = [Tensor(x.copy(), requires_grad=True) for x in inits]
+        sides.append((params, AdamState(params, lr=3e-2, weight_decay=weight_decay)))
+    for _ in range(5):
+        grads = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+        grads[0][:, ::7] = 0.0  # zero grads lean on eps
+        grads[2] = None  # this parameter never steps
+        for step, (params, state) in zip((adam_step, adam_step_expression), sides):
+            for p, g in zip(params, grads):
+                p.grad = None if g is None else g.copy()
+            step(params, state)
+    (got, got_state), (want, want_state) = sides
+    assert got_state.step_count == want_state.step_count == 5
+    for i in range(len(shapes)):
+        assert got[i].data.tobytes() == want[i].data.tobytes()
+        assert got_state.m[i].tobytes() == want_state.m[i].tobytes()
+        assert got_state.v[i].tobytes() == want_state.v[i].tobytes()
+    assert got[2].data.tobytes() == inits[2].tobytes()
+    assert not np.array_equal(got[0].data, inits[0])
+
+
+def test_adam_step_is_atomic_when_a_grad_is_rejected():
+    p, q = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+    state = AdamState([p, q], lr=0.1)
+    p.grad = np.full(2, 0.5)
+    for bad, error in [(np.ones(5), ShapeMismatch), (np.ones(3, np.float32), DtypeMismatch)]:
+        q.grad = bad
+        with pytest.raises(error):
+            adam_step([p, q], state)
+        assert np.array_equal(p.data, np.ones(2)) and np.array_equal(q.data, np.ones(3))
+        assert not any(m.any() for m in state.m) and not any(v.any() for v in state.v)
+        assert state.step_count == 0
+    q.data, q.grad = np.ones((3, 2))[:, 0], np.ones(3)  # strided: no flat view to update
+    with pytest.raises(ValueError, match="C-contiguous"):
+        adam_step([p, q], state)
+    assert np.array_equal(p.data, np.ones(2)) and state.step_count == 0
+
+
+def test_adam_step_allocates_no_full_size_temporary():
+    n = 4_200_000
+    p = Tensor(np.ones(n, dtype=np.float32), requires_grad=True)
+    p.grad = np.full(n, 0.25, dtype=np.float32)
+    state = AdamState([p])  # default weight decay > 0: the decayed grad is a temporary too
+    tracemalloc.start()
+    try:
+        adam_step([p], state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p.data.nbytes / 8, peak
+    assert np.all(p.data < 1.0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"lr": float("nan")}, {"lr": float("inf")},
+    {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
+    {"eps": 0.0}, {"eps": -1e-8}, {"eps": float("nan")}, {"eps": float("inf")},
+])
+def test_adam_state_rejects_non_finite_hyperparameters(bad):
+    with pytest.raises(ValueError):
+        AdamState([Tensor(np.ones(2), requires_grad=True)], **bad)
 
 
 def test_checkpoint_round_trip(tmp_path):
