@@ -3,9 +3,17 @@
 A global dynamic-programming alignment pairs performance and score notes.
 Matches are only allowed on equal pitch; the match cost is the absolute
 onset difference after the score timeline has been affinely mapped onto
-the performance timeline (least-squares fit over a per-pitch greedy
-pre-match), and skipping a note on either side costs 1.0. Unmatched
-performance notes are "extra", unmatched score notes are "missing".
+the performance timeline, and skipping a note on either side costs 1.0.
+Unmatched performance notes are "extra", unmatched score notes are
+"missing".
+
+The time map is seeded from a per-pitch greedy pre-match. Its anchors
+give three candidate maps (a least-squares fit, a RANSAC consensus fit
+and the best unit-slope offset), all built before any DP pass. They are
+ranked by a proxy that lower-bounds the performance side of each map's
+DP cost, and the cheapest is refined by DP passes and refits. The other
+seeds run DP passes only when that leaves fewer than 95 % of notes
+matched, a sign the proxy misranked them.
 
 Each DP pass is exact but computes only a certified band of diagonals.
 The pass is given an upper bound C on its optimal cost: the cheapest of a
@@ -14,7 +22,10 @@ performance, each costed under the pass's own map. Since a path through
 cell (i, j) skips at least |i - j| + |(n - m) - (i - j)| notes, no path of
 cost <= C leaves the diagonals within reach of that many skips (Ukkonen's
 cutoff), so the band needs no widen-and-retry. Within one ``align`` call
-each time map is solved at most once.
+each time map is solved at most once, and not at all when a known path
+already costs no more than the proxy bound plus the score notes any path
+must skip: that path is optimal. On takes without wrong notes the greedy
+path usually is.
 """
 
 from __future__ import annotations
@@ -60,6 +71,8 @@ class Alignment:
     n_p: int = field(default=0)
     n_e: int = field(default=0)
     time_map: tuple[float, float] | None = None  # (a, b) the matcher settled on
+    seed: str | None = None  # "least-squares", "consensus" or "offset"
+    dp_passes: int = 0  # DP passes the matcher ran
 
     def __post_init__(self):
         if self.n_p == 0:
@@ -271,29 +284,27 @@ def _consensus_time_map(
     span = float(score_on.max() - score_on.min())
     min_gap = max(1e-6, 0.05 * span)
     tol = 0.2
-    rng = np.random.default_rng(0)
-    best: tuple[float, float] | None = None
-    best_count = 0
+    i1, i2 = np.random.default_rng(0).integers(0, k, size=(256, 2)).T
+    ds = score_on[i2] - score_on[i1]
+    usable = np.abs(ds) >= min_gap
+    if not usable.any():
+        return None
+    i1, ds = i1[usable], ds[usable]
+    slopes = (perf_on[i2[usable]] - perf_on[i1]) / ds
+    offsets = perf_on[i1] - slopes * score_on[i1]
     # truncated squared error, so a tight cluster beats a diffuse band of
-    # equal size; drifted anchors form exactly such a diffuse ramp
-    best_score = np.inf
-    for _ in range(256):
-        i1, i2 = rng.integers(0, k, size=2)
-        ds = score_on[i2] - score_on[i1]
-        if abs(ds) < min_gap:
-            continue
-        a = (perf_on[i2] - perf_on[i1]) / ds
-        b = perf_on[i1] - a * score_on[i1]
-        res_sq = np.square(perf_on - (a * score_on + b))
-        score = float(np.minimum(res_sq, tol * tol).sum())
-        if score < best_score:
-            best_score = score
-            best_count = int((res_sq < tol * tol).sum())
-            best = (float(a), float(b))
-    if best is None or best_count < max(2, 0.05 * k):
+    # equal size; drifted anchors form exactly such a diffuse ramp. Rows
+    # are scored 32 maps at a time to keep the temporaries small.
+    scores = np.empty(len(slopes))
+    for lo in range(0, len(slopes), 32):
+        mapped = slopes[lo : lo + 32, None] * score_on + offsets[lo : lo + 32, None]
+        res_sq = np.square(perf_on - mapped)
+        scores[lo : lo + 32] = np.minimum(res_sq, tol * tol).sum(axis=1)
+    best = int(np.argmin(scores))  # the first strict minimum, in draw order
+    a, b = float(slopes[best]), float(offsets[best])
+    if int((np.square(perf_on - (a * score_on + b)) < tol * tol).sum()) < max(2, 0.05 * k):
         return None
     # two refit rounds on the consensus set tighten the sampled map
-    a, b = best
     for _ in range(2):
         keep = np.abs(perf_on - (a * score_on + b)) < tol
         if keep.sum() < 2:
@@ -314,63 +325,84 @@ def _offset_candidates(score_on: np.ndarray, perf_on: np.ndarray) -> list[float]
         return []
     d = np.sort(perf_on - score_on)
     hi = np.searchsorted(d, d + OFFSET_WINDOW, side="right")
+    # A window whose whole range lies within the plateau width of a chosen
+    # centre has its mean there too, so it is rejected without computing
+    # it. Offsets are seconds: a nanosecond of margin covers the rounding
+    # that can carry a float mean just past its window's ends.
+    reach = OFFSET_WINDOW - 1e-9
+    covered = np.zeros(len(d), dtype=bool)
     chosen: list[float] = []
-    for i in np.argsort(np.arange(len(d)) - hi):  # descending window count
+    for i in np.argsort(np.arange(len(d)) - hi).tolist():  # descending window count
+        if covered[i]:
+            continue
         b = float(d[i:hi[i]].mean())
         if all(abs(b - c) > OFFSET_WINDOW for c in chosen):
             chosen.append(b)
             if len(chosen) == MAX_OFFSET_CANDIDATES:
                 break
+            covered |= (d >= b - reach) & (d[hi - 1] <= b + reach)
     return chosen
 
 
-def _pitch_lanes(onsets: np.ndarray, pitches: np.ndarray) -> dict[int, np.ndarray]:
-    return {int(p): onsets[pitches == p] for p in np.unique(pitches)}
+def _score_lanes(score_on: np.ndarray, score_pitch: np.ndarray, perf_pitch: np.ndarray):
+    """Search structure for ``_match_cost_proxy``, built once per ``align``.
+
+    The score is sorted by (pitch, onset) into one ascending key,
+    ``pitch * stride + onset``, in which each pitch owns a contiguous run;
+    ``lo``/``hi`` bound each performance note's run (empty when the score
+    lacks its pitch).
+    """
+    order = np.lexsort((score_on, score_pitch))
+    onset, pitch = score_on[order], score_pitch[order]
+    stride = float(onset.max() - onset.min()) + 2.0
+    return (
+        onset,
+        pitch * stride + onset,
+        perf_pitch * stride,
+        np.searchsorted(pitch, perf_pitch, side="left"),
+        np.searchsorted(pitch, perf_pitch, side="right"),
+    )
 
 
-def _match_cost_proxy(
-    perf_lanes: dict[int, np.ndarray],
-    score_lanes: dict[int, np.ndarray],
-    a: float,
-    b: float,
-) -> float:
-    """Fast lower-bound surrogate for the DP cost under one time map.
+def _match_cost_proxy(perf_on: np.ndarray, lanes, a: float, b: float) -> float:
+    """Fast lower bound on the performance side of the DP cost under one map.
 
     Sums each performance note's distance to the nearest same-pitch
     score note, clipped at the skip penalty, ignoring monotonicity and
     exclusivity. Good maps separate from bad ones by a wide margin.
+    The nearest note is searched in score time, so one ``searchsorted``
+    serves every pitch: a query past either end of its pitch's run lands
+    outside the run and is clamped to the run's end note.
     """
-    total = 0.0
-    for pitch, po_arr in perf_lanes.items():
-        so_arr = score_lanes.get(pitch)
-        if so_arr is None:
-            total += SKIP_PENALTY * len(po_arr)
-            continue
-        mapped = a * so_arr + b
-        j = np.searchsorted(mapped, po_arr)
-        left = np.abs(po_arr - mapped[np.clip(j - 1, 0, len(mapped) - 1)])
-        right = np.abs(po_arr - mapped[np.clip(j, 0, len(mapped) - 1)])
-        total += float(np.minimum(np.minimum(left, right), SKIP_PENALTY).sum())
-    return total
+    onset, key, perf_base, lo, hi = lanes
+    target = (perf_on - b) / a if a else perf_on  # a == 0: every note is equally near
+    j = np.searchsorted(key, perf_base + target)
+    left = np.abs(perf_on - (a * onset[np.clip(j - 1, lo, hi - 1)] + b))
+    right = np.abs(perf_on - (a * onset[np.clip(j, lo, hi - 1)] + b))
+    near = np.minimum(np.minimum(left, right), SKIP_PENALTY)
+    return float(np.where(lo < hi, near, SKIP_PENALTY).sum())
 
 
 def align(perf: NoteList, score: NoteList) -> Alignment:
     """Optimal monotonic pitch-consistent matching under the DP cost.
 
-    The initial time map comes from the greedy pitch pre-match, which
-    drifts on long pieces with inserted or dropped notes, so the map is
-    refit on the matched pairs and the matching repeated until it stops
-    changing. When that still leaves a suspiciously sparse matching (the
-    pre-match can pull the map onto a shifted diagonal that confirms
-    itself), robust anchor fits seed alternative candidate maps and the
-    cheapest alignment wins.
+    Three seed maps come from the greedy pitch pre-match's anchors: their
+    least-squares fit (which drifts on long pieces with inserted or
+    dropped notes, and can settle on a shifted diagonal that confirms
+    itself), a RANSAC consensus fit, and the unit-slope anchor-offset
+    plateau with the lowest matching-cost proxy. The seed with the lowest
+    proxy (ties kept in that order) is refit on its matched pairs and
+    matched again until the pairs stop changing. Only when that matches
+    fewer than 95 % of notes do the other seeds converge too, and the
+    cheapest alignment wins. ``seed`` and ``dp_passes`` on the result
+    record the winning seed and the DP passes the call ran.
 
-    Solved maps are remembered for the call, so a convergence that revisits
-    a map (a seed that equals the first fit, a refit that lands on a map
-    another seed already reached) runs no DP pass for it, and every known
-    path bounds the band of each later pass. One DP table of the dense
-    size is requested per call, but passes write only their band's share,
-    so peak memory follows the widest band rather than n * m.
+    Solved maps are remembered for the call, so a refit that revisits a
+    map runs no DP pass for it, and every known path bounds the band of
+    each later pass. A map whose cheapest known path reaches the proxy's
+    lower bound runs no pass either. One DP table of the dense size is requested per
+    call, but passes write only their band's share, so peak memory
+    follows the widest band rather than n * m.
     """
     if len(perf) == 0 or len(score) == 0:
         raise EmptyInput("cannot align an empty note list")
@@ -385,22 +417,36 @@ def align(perf: NoteList, score: NoteList) -> Alignment:
         idx = np.asarray(pairs)
         return fit_time_map(score_on[idx[:, 1]], perf_on[idx[:, 0]])
 
+    lanes = _score_lanes(score_on, score_pitch, perf_pitch)
+
+    def proxy(time_map: tuple[float, float]) -> float:
+        return _match_cost_proxy(perf_on, lanes, *time_map)
+
     solved: dict[tuple[float, float], list[tuple[int, int]]] = {}
+    passes = 0
     # One dense-sized table serves every pass, and each pass writes only its
     # band's share: untouched pages cost no memory, later passes fault in no
     # new pages, and no freed table is left in the allocator's heap.
     table = np.empty((n + 1) * (m + 3), dtype=np.float64)
 
     def solve(a: float, b: float) -> list[tuple[int, int]]:
+        nonlocal passes
         if (a, b) not in solved:
             mapped = a * score_on + b
             greedy = _greedy_path(perf_on, perf_pitch, mapped, score_pitch)
-            bound = min(
-                _path_cost(p, perf_on, mapped) for p in [greedy, *solved.values()]
-            )
-            solved[(a, b)] = _dp_match(
-                perf_on, perf_pitch, mapped, score_pitch, bound, table
-            )
+            known = [greedy, *solved.values()]
+            costs = [_path_cost(p, perf_on, mapped) for p in known]
+            bound = min(costs)
+            # the proxy bounds the performance side and every path skips at
+            # least m - n score notes, so the sum bounds the optimum from
+            # below: a known path that reaches it is optimal and needs no pass
+            if bound <= proxy((a, b)) + SKIP_PENALTY * max(0, m - n):
+                solved[(a, b)] = known[costs.index(bound)]
+            else:
+                passes += 1
+                solved[(a, b)] = _dp_match(
+                    perf_on, perf_pitch, mapped, score_pitch, bound, table
+                )
         return solved[(a, b)]
 
     def converge(a: float, b: float):
@@ -418,34 +464,24 @@ def align(perf: NoteList, score: NoteList) -> Alignment:
     anchors = greedy_pitch_prematch(perf, score)
     anchor_s = score_on[[j for _, j in anchors]]
     anchor_p = perf_on[[i for i, _ in anchors]]
-    a0, b0 = fit_time_map(anchor_s, anchor_p)
-    pairs, a, b = converge(a0, b0)
-
+    seeds = {"least-squares": fit_time_map(anchor_s, anchor_p)}
+    consensus = _consensus_time_map(anchor_s, anchor_p)
+    if consensus is not None:
+        seeds["consensus"] = consensus
+    offsets = _offset_candidates(anchor_s, anchor_p)
+    if offsets:
+        seeds["offset"] = min(((1.0, off) for off in offsets), key=proxy)
+    ranked = sorted(seeds, key=lambda name: proxy(seeds[name]))  # stable on ties
+    seed = ranked[0]
+    pairs, a, b = converge(*seeds[seed])
     if len(pairs) < 0.95 * min(n, m):
-        seeds: list[tuple[float, float]] = []
-        consensus = _consensus_time_map(anchor_s, anchor_p)
-        if consensus is not None:
-            seeds.append(consensus)
-        offsets = _offset_candidates(anchor_s, anchor_p)
-        if offsets:
-            perf_lanes = _pitch_lanes(perf_on, perf_pitch)
-            score_lanes = _pitch_lanes(score_on, score_pitch)
-            seeds.append(
-                (
-                    1.0,
-                    min(
-                        offsets,
-                        key=lambda off: _match_cost_proxy(
-                            perf_lanes, score_lanes, 1.0, off
-                        ),
-                    ),
-                )
-            )
-        for seed in seeds:
-            alt_pairs, a1, b1 = converge(*seed)
+        # the proxy ignores monotonicity, so a sparse result may come from a
+        # misranked seed: the others converge too and the cheapest wins
+        for name in ranked[1:]:
+            alt_pairs, a1, b1 = converge(*seeds[name])
             alt_cost = _path_cost(alt_pairs, perf_on, a1 * score_on + b1)
             if alt_cost < _path_cost(pairs, perf_on, a * score_on + b):
-                pairs, a, b = alt_pairs, a1, b1
+                seed, pairs, a, b = name, alt_pairs, a1, b1
 
     matched_p = {p for p, _ in pairs}
     matched_s = {s for _, s in pairs}
@@ -454,6 +490,8 @@ def align(perf: NoteList, score: NoteList) -> Alignment:
         missing=[j for j in range(m) if j not in matched_s],
         extra=[i for i in range(n) if i not in matched_p],
         time_map=(a, b),
+        seed=seed,
+        dp_passes=passes,
     )
 
 

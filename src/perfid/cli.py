@@ -223,7 +223,8 @@ def cmd_align(args: argparse.Namespace) -> int:
     print(
         f"matched {len(alignment.pairs)}, missing {len(alignment.missing)}, "
         f"extra {len(alignment.extra)}, info_loss "
-        f"{info_loss(alignment):.2f}%"
+        f"{info_loss(alignment):.2f}%, seed {alignment.seed}, "
+        f"dp_passes {alignment.dp_passes}"
     )
     return 0
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from perfid import align as aligner
 from perfid.midi_io import Note, NoteList
 from perfid.neural import Tensor
 
@@ -177,3 +178,138 @@ def adam_step_expression(params, state):
             p.data.dtype, copy=False
         )
     return params
+
+
+def consensus_time_map_loop(score_on, perf_on):
+    """Reference for ``perfid.align._consensus_time_map``: one draw and one
+    scored map per iteration. The vectorized form draws the same stream
+    and runs the same float operations, so the two must agree bit for bit.
+    """
+    k = len(score_on)
+    if k < 2:
+        return None
+    span = float(score_on.max() - score_on.min())
+    min_gap = max(1e-6, 0.05 * span)
+    tol = 0.2
+    rng = np.random.default_rng(0)
+    best = None
+    best_count = 0
+    best_score = np.inf
+    for _ in range(256):
+        i1, i2 = rng.integers(0, k, size=2)
+        ds = score_on[i2] - score_on[i1]
+        if abs(ds) < min_gap:
+            continue
+        a = (perf_on[i2] - perf_on[i1]) / ds
+        b = perf_on[i1] - a * score_on[i1]
+        res_sq = np.square(perf_on - (a * score_on + b))
+        score = float(np.minimum(res_sq, tol * tol).sum())
+        if score < best_score:
+            best_score = score
+            best_count = int((res_sq < tol * tol).sum())
+            best = (float(a), float(b))
+    if best is None or best_count < max(2, 0.05 * k):
+        return None
+    a, b = best
+    for _ in range(2):
+        keep = np.abs(perf_on - (a * score_on + b)) < tol
+        if keep.sum() < 2:
+            break
+        a, b = aligner.fit_time_map(score_on[keep], perf_on[keep])
+    return a, b
+
+
+def offset_candidates_loop(score_on, perf_on):
+    """Reference for ``perfid.align._offset_candidates``: the mean of every
+    window in descending-count order, with no window skipped."""
+    if len(score_on) == 0:
+        return []
+    d = np.sort(perf_on - score_on)
+    hi = np.searchsorted(d, d + aligner.OFFSET_WINDOW, side="right")
+    chosen = []
+    for i in np.argsort(np.arange(len(d)) - hi):
+        b = float(d[i:hi[i]].mean())
+        if all(abs(b - c) > aligner.OFFSET_WINDOW for c in chosen):
+            chosen.append(b)
+            if len(chosen) == aligner.MAX_OFFSET_CANDIDATES:
+                break
+    return chosen
+
+
+def match_cost_proxy_lanes(perf_on, perf_pitch, score_on, score_pitch, a, b):
+    """Reference for ``perfid.align._match_cost_proxy`` at slope a > 0: one
+    ``searchsorted`` per pitch lane, in the lane's mapped onsets."""
+    total = 0.0
+    for pitch in np.unique(perf_pitch).tolist():
+        po_arr = perf_on[perf_pitch == pitch]
+        so_arr = score_on[score_pitch == pitch]
+        if so_arr.size == 0:
+            total += aligner.SKIP_PENALTY * len(po_arr)
+            continue
+        mapped = a * so_arr + b
+        j = np.searchsorted(mapped, po_arr)
+        left = np.abs(po_arr - mapped[np.clip(j - 1, 0, len(mapped) - 1)])
+        right = np.abs(po_arr - mapped[np.clip(j, 0, len(mapped) - 1)])
+        total += float(np.minimum(np.minimum(left, right), aligner.SKIP_PENALTY).sum())
+    return total
+
+
+def gated_align(perf, score):
+    """Reference for ``perfid.align.align``'s seed choice: converge from the
+    least-squares pre-match map, and only when fewer than 95 % of notes
+    match, also from the consensus and best-offset seeds, keeping the
+    cheapest result. Returns (pairs, (a, b), DP passes)."""
+    n, m = len(perf), len(score)
+    perf_on = np.array([x.onset for x in perf.notes])
+    perf_pitch = np.array([x.pitch for x in perf.notes])
+    score_on = np.array([x.onset for x in score.notes])
+    score_pitch = np.array([x.pitch for x in score.notes])
+    solved = {}
+    table = np.empty((n + 1) * (m + 3))
+
+    def solve(a, b):
+        if (a, b) not in solved:
+            mapped = a * score_on + b
+            greedy = aligner._greedy_path(perf_on, perf_pitch, mapped, score_pitch)
+            bound = min(
+                aligner._path_cost(p, perf_on, mapped) for p in [greedy, *solved.values()]
+            )
+            solved[(a, b)] = aligner._dp_match(
+                perf_on, perf_pitch, mapped, score_pitch, bound, table
+            )
+        return solved[(a, b)]
+
+    def converge(a, b):
+        pairs = solve(a, b)
+        for _ in range(aligner.MAX_REFINEMENTS):
+            if len(pairs) < 2:
+                break
+            idx = np.asarray(pairs)
+            a, b = aligner.fit_time_map(score_on[idx[:, 1]], perf_on[idx[:, 0]])
+            new_pairs = solve(a, b)
+            if new_pairs == pairs:
+                break
+            pairs = new_pairs
+        return pairs, a, b
+
+    def cost(pairs, a, b):
+        return aligner._path_cost(pairs, perf_on, a * score_on + b)
+
+    anchors = aligner.greedy_pitch_prematch(perf, score)
+    anchor_s = score_on[[j for _, j in anchors]]
+    anchor_p = perf_on[[i for i, _ in anchors]]
+    pairs, a, b = converge(*aligner.fit_time_map(anchor_s, anchor_p))
+    if len(pairs) < 0.95 * min(n, m):
+        seeds = []
+        consensus = consensus_time_map_loop(anchor_s, anchor_p)
+        if consensus is not None:
+            seeds.append(consensus)
+        offsets = offset_candidates_loop(anchor_s, anchor_p)
+        if offsets:
+            seeds.append((1.0, min(offsets, key=lambda off: match_cost_proxy_lanes(
+                perf_on, perf_pitch, score_on, score_pitch, 1.0, off))))
+        for seed in seeds:
+            alt_pairs, a1, b1 = converge(*seed)
+            if cost(alt_pairs, a1, b1) < cost(pairs, a, b):
+                pairs, a, b = alt_pairs, a1, b1
+    return pairs, (a, b), len(solved)

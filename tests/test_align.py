@@ -14,9 +14,13 @@ from hypothesis import strategies as st
 
 import perfid.align
 from helpers import (
+    consensus_time_map_loop,
     dense_dp_pairs,
+    gated_align,
+    match_cost_proxy_lanes,
     min_alignment_cost,
     note_list,
+    offset_candidates_loop,
     random_alignment_instance,
 )
 from perfid import dataset
@@ -32,7 +36,7 @@ from perfid.align import (
     greedy_pitch_prematch,
     info_loss,
 )
-from perfid.midi_io import NoteList
+from perfid.midi_io import NoteList, parse_midi
 
 
 def identity_alignment(n, n_extra=0):
@@ -179,6 +183,127 @@ def test_no_time_map_is_solved_twice(monkeypatch):
     align(perf, score)
     assert len(maps) > 1
     assert len(set(maps)) == len(maps)
+
+
+def anchor_sets():
+    """Anchor onsets (score, performance) of seeded takes, plus edge cases."""
+    styles = dataset.hard_styles(2) + dataset.default_styles(2)
+    for k in range(12):
+        rng = np.random.default_rng([k, 13])
+        score = dataset._make_score(rng, 13 if k == 0 else 100 + 200 * k)
+        perf = dataset.render_performance(score, styles[k % len(styles)], rng)
+        anchors = greedy_pitch_prematch(perf, score)
+        score_on, perf_on = note_arrays(score)[0], note_arrays(perf)[0]
+        yield score_on[[j for _, j in anchors]], perf_on[[i for i, _ in anchors]]
+    yield np.array([]), np.array([])  # no anchors
+    yield np.array([1.5]), np.array([2.0])  # one anchor
+    yield np.full(40, 3.0), np.linspace(0.0, 9.0, 40)  # zero-span score
+    onsets = np.random.default_rng(5).uniform(0, 60, 300)
+    yield onsets, onsets + 0.25  # all offsets identical
+    # plateaus just over one window apart
+    yield np.arange(300.0), np.arange(300.0) + np.repeat([0.0, 0.42, 1.3], [150, 100, 50])
+    yield np.array([0.0, 4.0, 8.0]), np.array([0.0, 4.0, 20.0])  # every sampled map ties
+
+
+def test_seed_builders_equal_their_loop_forms():
+    for score_on, perf_on in anchor_sets():
+        got = perfid.align._consensus_time_map(score_on, perf_on)
+        assert got == consensus_time_map_loop(score_on, perf_on)
+        got = perfid.align._offset_candidates(score_on, perf_on)
+        assert got == offset_candidates_loop(score_on, perf_on)
+
+
+def test_array_proxy_equals_the_per_lane_sum():
+    rng = np.random.default_rng(11)
+    for k in range(20):
+        score_on = np.sort(rng.uniform(0, 30, 20 + 20 * k))
+        score_pitch = rng.integers(48, 72, len(score_on))
+        perf_on = np.sort(rng.uniform(-2, 40, 150 + 10 * k))
+        # pitches 72-75 are absent from the score: a skip penalty per note
+        perf_pitch = rng.integers(48, 76, len(perf_on))
+        lanes = perfid.align._score_lanes(score_on, score_pitch, perf_pitch)
+        maps = zip(rng.uniform(0.5, 1.5, 5), rng.uniform(-3, 3, 5))
+        for a, b in [(1.0, 0.0), (0.0, 1.0), *maps]:
+            got = perfid.align._match_cost_proxy(perf_on, lanes, a, b)
+            want = match_cost_proxy_lanes(perf_on, perf_pitch, score_on, score_pitch, a, b)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_shifted_map_take_aligns_at_its_cheapest(tmp_path):
+    # The pre-match fit settles on a shifted diagonal that still matches
+    # 98 % of notes, at cost 181.6 with 735 pairs; a ranked seed does not.
+    records = dataset.synth_generate(
+        dataset.default_styles(3), 4, 1, seed=1, out_dir=tmp_path,
+        length_range=(750, 750),
+    )
+    rec = next(r for r in records if r.id == "pianist_00__piece_001__take0")
+    perf = parse_midi((tmp_path / rec.perf_midi).read_bytes())
+    score = parse_midi((tmp_path / rec.score_midi).read_bytes())
+    result = align(perf, score)
+    assert alignment_cost(result, perf, score) == pytest.approx(17.383, abs=1e-3)
+    assert len(result.pairs) == 744
+
+
+def test_hard_take_converges_from_one_seed(monkeypatch):
+    rng = np.random.default_rng([0, 1300])
+    score = dataset._make_score(rng, 1300)
+    perf = dataset.render_performance(score, dataset.hard_styles(2)[0], rng)
+    calls = []
+    solve = perfid.align._dp_match
+
+    def counting(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(perfid.align, "_dp_match", counting)
+    result = align(perf, score)
+    assert len(calls) == result.dp_passes <= 3
+    assert result.seed in ("least-squares", "consensus", "offset")
+
+
+def test_clean_take_is_certified_without_a_dp_pass():
+    # With no wrong notes every performance note's nearest same-pitch score
+    # note is its partner, so the greedy path meets the proxy bound.
+    style = replace(dataset.default_styles(3)[1], extra_rate=0.0, missing_rate=0.0)
+    rng = np.random.default_rng([0, 750])
+    score = dataset._make_score(rng, 750)
+    perf = dataset.render_performance(score, style, rng)
+    result = align(perf, score)
+    assert result.dp_passes == 0
+    perf_on, perf_pitch = note_arrays(perf)
+    score_on, score_pitch = note_arrays(score)
+    a, b = result.time_map
+    assert result.pairs == dense_dp_pairs(perf_on, perf_pitch, a * score_on + b, score_pitch)
+
+
+def test_ranked_seed_is_never_costlier_than_the_gated_align():
+    # Hard and easy takes at x1 and x1.25 tempo. Wherever the pairs differ
+    # from the gated align's, they must cost strictly less, so features
+    # change only where the alignment got cheaper. In this set the seed
+    # with the lowest proxy converges to a costlier alignment on k = 25 and
+    # k = 29 (twice the cost), which the sparse-result fallback repairs.
+    styles = dataset.hard_styles(3) + dataset.default_styles(3)
+    cheaper = 0
+    for k in range(40):
+        rng = np.random.default_rng([k, 44])
+        score = dataset._make_score(rng, 150 + 450 * k // 39)
+        perf = dataset.render_performance(score, styles[k % len(styles)], rng)
+        if k % 2:
+            perf = NoteList(notes=[
+                replace(n, onset=1.25 * n.onset, offset=1.25 * n.offset)
+                for n in perf.notes
+            ])
+        result = align(perf, score)
+        pairs, (a, b), _ = gated_align(perf, score)
+        if result.pairs == pairs:
+            continue
+        got = alignment_cost(result, perf, score)
+        want = perfid.align._path_cost(
+            pairs, note_arrays(perf)[0], a * note_arrays(score)[0] + b
+        )
+        assert got < want, (k, got, want)
+        cheaper += 1
+    assert cheaper > 0
 
 
 def test_memory_stays_bounded_on_a_10k_note_take():

@@ -202,7 +202,9 @@ def test_align_writes_table_and_manifest(corpus, tmp_path, capsys):
     manifest = json.loads((tmp_path / "pairs.tsv.manifest.json").read_text())
     assert manifest["command"] == "align"
     assert set(manifest["inputs"]) == {"perf", "score"}
-    assert "matched" in capsys.readouterr().out
+    summary = capsys.readouterr().out
+    assert "matched" in summary
+    assert re.search(r", seed (least-squares|consensus|offset), dp_passes \d+$", summary)
 
     assert main(argv) == 1  # overwrite refusal applies to single files too
     assert main(argv + ["--force"]) == 0
