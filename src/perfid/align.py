@@ -7,17 +7,18 @@ the performance timeline, and skipping a note on either side costs 1.0.
 Unmatched performance notes are "extra", unmatched score notes are
 "missing".
 
-The time map is seeded from a per-pitch greedy pre-match. Its anchors
-give three candidate maps (a least-squares fit, a RANSAC consensus fit
-and the best unit-slope offset), all built before any DP pass. They are
-ranked by a proxy that lower-bounds the performance side of each map's
-DP cost, and the cheapest is refined by DP passes and refits. The other
-seeds run DP passes only when that leaves fewer than 95 % of notes
-matched, a sign the proxy misranked them.
+One index per call, the score sorted by (pitch, onset), serves every
+same-pitch lookup outside the DP. Its anchors pair the k-th occurrence of
+each pitch on both sides and give three candidate maps (a least-squares
+fit, a RANSAC consensus fit and the best unit-slope offset), all built
+before any DP pass. A proxy from each note's nearest same-pitch score note
+lower-bounds the performance side of each map's DP cost; the cheapest map
+is refined by DP passes and refits. The other seeds run DP passes only
+when that leaves fewer than 95 % of notes matched.
 
 Each DP pass is exact but computes only a certified band of diagonals.
 The pass is given an upper bound C on its optimal cost: the cheapest of a
-greedy same-pitch path and every path already solved for this
+greedy path of nearest notes and every path already solved for this
 performance, each costed under the pass's own map. Since a path through
 cell (i, j) skips at least |i - j| + |(n - m) - (i - j)| notes, no path of
 cost <= C leaves the diagonals within reach of that many skips (Ukkonen's
@@ -115,59 +116,6 @@ def fit_time_map(score_onsets, perf_onsets) -> tuple[float, float]:
     a = float(np.cov(s, p, bias=True)[0, 1] / var)
     b = float(np.mean(p) - a * np.mean(s))
     return a, b
-
-
-def greedy_pitch_prematch(perf: NoteList, score: NoteList) -> list[tuple[int, int]]:
-    """Anchor pairs for the time-map fit: k-th occurrence of each pitch on
-    one side pairs with the k-th occurrence on the other."""
-    by_pitch_perf: dict[int, list[int]] = {}
-    by_pitch_score: dict[int, list[int]] = {}
-    for i, note in enumerate(perf.notes):
-        by_pitch_perf.setdefault(note.pitch, []).append(i)
-    for j, note in enumerate(score.notes):
-        by_pitch_score.setdefault(note.pitch, []).append(j)
-    anchors = []
-    for pitch, perf_ids in by_pitch_perf.items():
-        score_ids = by_pitch_score.get(pitch, [])
-        anchors.extend(zip(perf_ids, score_ids))
-    anchors.sort()
-    return anchors
-
-
-def _greedy_path(
-    perf_on: np.ndarray,
-    perf_pitch: np.ndarray,
-    score_mapped: np.ndarray,
-    score_pitch: np.ndarray,
-) -> list[tuple[int, int]]:
-    """A cheap monotone same-pitch path, used only to bound a DP pass.
-
-    Each performance note takes the score note of its pitch after the last
-    match that lies nearest in time, when their onsets differ by less than
-    the skip penalty.
-    """
-    lanes: dict[int, list[int]] = {}
-    for j, p in enumerate(score_pitch.tolist()):
-        lanes.setdefault(p, []).append(j)
-    heads = dict.fromkeys(lanes, 0)
-    mapped = score_mapped.tolist()
-    pairs: list[tuple[int, int]] = []
-    last = -1
-    for i, (t, p) in enumerate(zip(perf_on.tolist(), perf_pitch.tolist())):
-        lane = lanes.get(p)
-        if lane is None:
-            continue
-        k = heads[p]
-        while k < len(lane) and (lane[k] <= last or mapped[lane[k]] <= t - SKIP_PENALTY):
-            k += 1
-        while k + 1 < len(lane) and abs(t - mapped[lane[k + 1]]) < abs(t - mapped[lane[k]]):
-            k += 1
-        if k < len(lane) and abs(t - mapped[lane[k]]) < SKIP_PENALTY:
-            last = lane[k]
-            pairs.append((i, last))
-            k += 1
-        heads[p] = k
-    return pairs
 
 
 def _path_cost(
@@ -345,23 +293,36 @@ def _offset_candidates(score_on: np.ndarray, perf_on: np.ndarray) -> list[float]
 
 
 def _score_lanes(score_on: np.ndarray, score_pitch: np.ndarray, perf_pitch: np.ndarray):
-    """Search structure for ``_match_cost_proxy``, built once per ``align``.
+    """The score sorted by (pitch, onset), built once per ``align`` call.
 
-    The score is sorted by (pitch, onset) into one ascending key,
-    ``pitch * stride + onset``, in which each pitch owns a contiguous run;
-    ``lo``/``hi`` bound each performance note's run (empty when the score
-    lacks its pitch).
+    Returns the sorted positions' score indices and onsets; one ascending
+    key, ``pitch * stride + onset``, in which each pitch owns a contiguous
+    run; each performance note's ``pitch * stride``; and ``lo``/``hi``,
+    the bounds of its pitch's run (empty when the score lacks the pitch).
     """
     order = np.lexsort((score_on, score_pitch))
     onset, pitch = score_on[order], score_pitch[order]
     stride = float(onset.max() - onset.min()) + 2.0
-    return (
-        onset,
-        pitch * stride + onset,
-        perf_pitch * stride,
-        np.searchsorted(pitch, perf_pitch, side="left"),
-        np.searchsorted(pitch, perf_pitch, side="right"),
-    )
+    lo, hi = (np.searchsorted(pitch, perf_pitch, side=side) for side in ("left", "right"))
+    return order, onset, pitch * stride + onset, perf_pitch * stride, lo, hi
+
+
+def _nearest(perf_on: np.ndarray, lanes, a: float, b: float):
+    """Each performance note's nearest same-pitch score note under one map.
+
+    Returns score indices and onset distances (inf where the score lacks
+    the pitch; ties go to the earlier score onset). The search runs in
+    score time: a query past either end of its pitch's run is clamped to
+    the run's end note.
+    """
+    order, onset, key, perf_base, lo, hi = lanes
+    target = (perf_on - b) / a if a else perf_on  # a == 0: every note is equally near
+    j = np.searchsorted(key, perf_base + target)
+    left, right = np.clip(j - 1, lo, hi - 1), np.clip(j, lo, hi - 1)
+    d_left = np.abs(perf_on - (a * onset[left] + b))
+    d_right = np.abs(perf_on - (a * onset[right] + b))
+    near = order[np.where(d_right < d_left, right, left)]
+    return near, np.where(lo < hi, np.minimum(d_left, d_right), np.inf)
 
 
 def _match_cost_proxy(perf_on: np.ndarray, lanes, a: float, b: float) -> float:
@@ -370,39 +331,58 @@ def _match_cost_proxy(perf_on: np.ndarray, lanes, a: float, b: float) -> float:
     Sums each performance note's distance to the nearest same-pitch
     score note, clipped at the skip penalty, ignoring monotonicity and
     exclusivity. Good maps separate from bad ones by a wide margin.
-    The nearest note is searched in score time, so one ``searchsorted``
-    serves every pitch: a query past either end of its pitch's run lands
-    outside the run and is clamped to the run's end note.
     """
-    onset, key, perf_base, lo, hi = lanes
-    target = (perf_on - b) / a if a else perf_on  # a == 0: every note is equally near
-    j = np.searchsorted(key, perf_base + target)
-    left = np.abs(perf_on - (a * onset[np.clip(j - 1, lo, hi - 1)] + b))
-    right = np.abs(perf_on - (a * onset[np.clip(j, lo, hi - 1)] + b))
-    near = np.minimum(np.minimum(left, right), SKIP_PENALTY)
-    return float(np.where(lo < hi, near, SKIP_PENALTY).sum())
+    return float(np.minimum(_nearest(perf_on, lanes, a, b)[1], SKIP_PENALTY).sum())
+
+
+def _greedy_path(perf_on: np.ndarray, lanes, a: float, b: float) -> list[tuple[int, int]]:
+    """A cheap monotone same-pitch path, used only to bound a DP pass.
+
+    Notes within the skip penalty of their nearest same-pitch score note
+    join in order when that score note follows every earlier one's. A note
+    left out lies at or before a member's, so that is "after the last match".
+    """
+    near, dist = _nearest(perf_on, lanes, a, b)
+    cand = np.flatnonzero(dist < SKIP_PENALTY)
+    j = near[cand]
+    keep = j > np.maximum.accumulate(np.concatenate(([-1], j[:-1])))
+    return list(zip(cand[keep].tolist(), j[keep].tolist()))
+
+
+def _anchors(perf_pitch: np.ndarray, score_pitch: np.ndarray, lanes):
+    """Anchor pairs for the time-map fit: the k-th occurrence of each pitch
+    in index order on one side pairs with the k-th on the other. Returns
+    the performance indices (ascending) and their score indices.
+    """
+    lo, hi = lanes[4:]  # a stable pitch sort of the score has these runs too
+    by_pitch = np.argsort(perf_pitch, kind="stable")
+    pitch = perf_pitch[by_pitch]
+    pos = np.empty_like(by_pitch)  # lo plus the note's rank within its pitch
+    pos[by_pitch] = lo[by_pitch] + np.arange(len(pos)) - np.searchsorted(pitch, pitch)
+    perf_idx = np.flatnonzero(pos < hi)
+    return perf_idx, np.argsort(score_pitch, kind="stable")[pos[perf_idx]]
 
 
 def align(perf: NoteList, score: NoteList) -> Alignment:
     """Optimal monotonic pitch-consistent matching under the DP cost.
 
-    Three seed maps come from the greedy pitch pre-match's anchors: their
-    least-squares fit (which drifts on long pieces with inserted or
-    dropped notes, and can settle on a shifted diagonal that confirms
-    itself), a RANSAC consensus fit, and the unit-slope anchor-offset
-    plateau with the lowest matching-cost proxy. The seed with the lowest
-    proxy (ties kept in that order) is refit on its matched pairs and
-    matched again until the pairs stop changing. Only when that matches
-    fewer than 95 % of notes do the other seeds converge too, and the
-    cheapest alignment wins. ``seed`` and ``dp_passes`` on the result
-    record the winning seed and the DP passes the call ran.
+    Anchors, proxy and greedy paths all read one (pitch, onset) index of
+    the score. Three seed maps come from the anchors: their least-squares
+    fit (which drifts on long pieces with inserted or dropped notes, and
+    can settle on a shifted diagonal that confirms itself), a RANSAC
+    consensus fit, and the unit-slope anchor-offset plateau with the
+    lowest proxy. The seed with the lowest proxy (ties kept in that order)
+    is refit on its matched pairs and matched again until the pairs stop
+    changing. Only when that matches fewer than 95 % of notes do the other
+    seeds converge too, and the cheapest alignment wins. ``seed`` and
+    ``dp_passes`` record the winning seed and the DP passes the call ran.
 
     Solved maps are remembered for the call, so a refit that revisits a
     map runs no DP pass for it, and every known path bounds the band of
     each later pass. A map whose cheapest known path reaches the proxy's
-    lower bound runs no pass either. One DP table of the dense size is requested per
-    call, but passes write only their band's share, so peak memory
-    follows the widest band rather than n * m.
+    lower bound runs no pass either. One DP table of the dense size is
+    requested per call, but passes write only their band's share, so peak
+    memory follows the widest band rather than n * m.
     """
     if len(perf) == 0 or len(score) == 0:
         raise EmptyInput("cannot align an empty note list")
@@ -412,10 +392,6 @@ def align(perf: NoteList, score: NoteList) -> Alignment:
     perf_pitch = np.array([note.pitch for note in perf.notes])
     score_on = np.array([note.onset for note in score.notes], dtype=np.float64)
     score_pitch = np.array([note.pitch for note in score.notes])
-
-    def refit(pairs: list[tuple[int, int]]) -> tuple[float, float]:
-        idx = np.asarray(pairs)
-        return fit_time_map(score_on[idx[:, 1]], perf_on[idx[:, 0]])
 
     lanes = _score_lanes(score_on, score_pitch, perf_pitch)
 
@@ -433,8 +409,7 @@ def align(perf: NoteList, score: NoteList) -> Alignment:
         nonlocal passes
         if (a, b) not in solved:
             mapped = a * score_on + b
-            greedy = _greedy_path(perf_on, perf_pitch, mapped, score_pitch)
-            known = [greedy, *solved.values()]
+            known = [_greedy_path(perf_on, lanes, a, b), *solved.values()]
             costs = [_path_cost(p, perf_on, mapped) for p in known]
             bound = min(costs)
             # the proxy bounds the performance side and every path skips at
@@ -454,16 +429,16 @@ def align(perf: NoteList, score: NoteList) -> Alignment:
         for _ in range(MAX_REFINEMENTS):
             if len(pairs) < 2:
                 break
-            a, b = refit(pairs)
+            idx = np.asarray(pairs)
+            a, b = fit_time_map(score_on[idx[:, 1]], perf_on[idx[:, 0]])
             new_pairs = solve(a, b)
             if new_pairs == pairs:
                 break
             pairs = new_pairs
         return pairs, a, b
 
-    anchors = greedy_pitch_prematch(perf, score)
-    anchor_s = score_on[[j for _, j in anchors]]
-    anchor_p = perf_on[[i for i, _ in anchors]]
+    anchor_p, anchor_s = _anchors(perf_pitch, score_pitch, lanes)
+    anchor_p, anchor_s = perf_on[anchor_p], score_on[anchor_s]
     seeds = {"least-squares": fit_time_map(anchor_s, anchor_p)}
     consensus = _consensus_time_map(anchor_s, anchor_p)
     if consensus is not None:
@@ -497,11 +472,11 @@ def align(perf: NoteList, score: NoteList) -> Alignment:
 
 def alignment_cost(alignment: Alignment, perf: NoteList, score: NoteList) -> float:
     """Cost of a given alignment under the DP objective (used by tests)."""
+    filter_matched(alignment, perf, score)  # bounds check
     a, b = alignment.time_map
-    cost = SKIP_PENALTY * (len(alignment.missing) + len(alignment.extra))
-    for i, j in alignment.pairs:
-        cost += abs(perf.notes[i].onset - (a * score.notes[j].onset + b))
-    return cost
+    perf_on = np.array([note.onset for note in perf.notes], dtype=np.float64)
+    score_on = np.array([note.onset for note in score.notes], dtype=np.float64)
+    return _path_cost(alignment.pairs, perf_on, a * score_on + b)
 
 
 def info_loss(alignment: Alignment) -> float:

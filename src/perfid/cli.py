@@ -313,8 +313,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         combo_cols = tuple(extras["schema"])
         segment_length = extras.get("segment_length")
         split_ids = extras["split"][args.split]
-    except KeyError as exc:
-        raise PipelineError(f"checkpoint lacks evaluation metadata: {exc}") from exc
+        if not (isinstance(split_ids, list) and all(isinstance(i, str) for i in split_ids)):
+            raise TypeError(f"{args.split} split is not a list of record ids")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PipelineError(f"checkpoint lacks usable evaluation metadata: {exc}") from exc
     if args.length is not None:  # absent: the checkpoint's segment length
         segment_length = None if args.length == "full" else args.length
     if args.level == "segment" and segment_length is None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,11 @@ _DIATONIC = tuple(
 
 class InvalidStyleConfig(ValueError):
     """Style parameters outside their documented ranges."""
+
+
+class MalformedRegistry(ValueError):
+    """Not a list of records with string fields, a repeated record id, or a
+    record whose MIDI path leaves its corpus directory."""
 
 
 @dataclass(frozen=True)
@@ -151,10 +156,18 @@ def save_registry(records: list[PerformanceRecord], path: str | Path,
 
 def load_registry(path: str | Path) -> list[PerformanceRecord]:
     doc = json.loads(Path(path).read_text())
-    records = [PerformanceRecord(**r) for r in doc["records"]]
+    rows = doc.get("records") if isinstance(doc, dict) else None
+    if not isinstance(rows, list):
+        raise MalformedRegistry(f"{path}: want an object with a 'records' list")
+    keys = {f.name for f in fields(PerformanceRecord)}
+    for k, row in enumerate(rows):
+        if not (isinstance(row, dict) and row.keys() == keys
+                and all(isinstance(v, str) for v in row.values())):
+            raise MalformedRegistry(f"{path}: record {k} wants the string fields {sorted(keys)}")
+    records = [PerformanceRecord(**r) for r in rows]
     ids = [r.id for r in records]
     if len(set(ids)) != len(ids):
-        raise ValueError("duplicate record ids in registry")
+        raise MalformedRegistry("duplicate record ids in registry")
     return records
 
 

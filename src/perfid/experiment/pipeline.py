@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .. import features
 from ..align import align, filter_matched
-from ..dataset import PerformanceRecord, SplitAssignment, load_registry
+from ..dataset import MalformedRegistry, PerformanceRecord, SplitAssignment, load_registry
 from ..midi_io import parse_midi
 
 
@@ -26,8 +26,14 @@ class ExtractionFailed(RuntimeError):
 
 
 def load_corpus(root: str | Path) -> list[PerformanceRecord]:
-    """Read the registry under a corpus directory."""
-    return load_registry(Path(root) / "registry.json")
+    """Read the registry under a corpus directory, whose MIDI paths lie in it."""
+    records = load_registry(Path(root) / "registry.json")
+    base = Path(root).resolve()
+    for record in records:
+        for rel in (record.perf_midi, record.score_midi):
+            if not (base / rel).resolve().is_relative_to(base):
+                raise MalformedRegistry(f"{record.id}: {rel} lies outside the corpus {root}")
+    return records
 
 
 def extract_performance(

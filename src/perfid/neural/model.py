@@ -299,23 +299,26 @@ def load_checkpoint(path) -> tuple[PianistConvNet, dict]:
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpoint(f"unreadable checkpoint header: {exc}") from exc
-    if header.get("format") != "perfid-checkpoint":
+    if not isinstance(header, dict) or header.get("format") != "perfid-checkpoint":
         raise CorruptCheckpoint("not a checkpoint file")
     if header.get("payload_sha256") != hashlib.sha256(payload).hexdigest():
         raise CorruptCheckpoint("payload digest does not match the header")
 
-    config = ModelConfig.from_json(header["config"])
-    model = PianistConvNet(config, seed=int(header.get("seed", 0)))
+    try:
+        config = ModelConfig.from_json(header["config"])
+        seed = int(header.get("seed", 0))
+        declared = [(d["name"], tuple(map(int, d["shape"]))) for d in header.get("arrays", [])]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptCheckpoint(f"invalid checkpoint header: {exc!r}") from exc
+    model = PianistConvNet(config, seed=seed)
     expected = model.named_arrays()
-    declared = header.get("arrays", [])
-    if [d["name"] for d in declared] != [n for n, _ in expected]:
+    if [name for name, _ in declared] != [n for n, _ in expected]:
         raise CorruptCheckpoint("array list does not match the architecture")
 
     arrays = {}
     offset = 0
     flat = np.frombuffer(payload, dtype="<f4")
-    for decl, (name, current) in zip(declared, expected):
-        shape = tuple(int(s) for s in decl["shape"])
+    for (_, shape), (name, current) in zip(declared, expected):
         if shape != current.shape:
             raise CorruptCheckpoint(f"declared shape mismatch for {name!r}")
         n = int(np.prod(shape)) if shape else 1

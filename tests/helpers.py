@@ -254,6 +254,56 @@ def match_cost_proxy_lanes(perf_on, perf_pitch, score_on, score_pitch, a, b):
     return total
 
 
+def greedy_pitch_prematch(perf, score):
+    """Reference for ``perfid.align._anchors``: anchor pairs for the
+    time-map fit, the k-th occurrence of each pitch on one side paired
+    with the k-th occurrence on the other."""
+    by_pitch_perf = {}
+    by_pitch_score = {}
+    for i, note in enumerate(perf.notes):
+        by_pitch_perf.setdefault(note.pitch, []).append(i)
+    for j, note in enumerate(score.notes):
+        by_pitch_score.setdefault(note.pitch, []).append(j)
+    anchors = []
+    for pitch, perf_ids in by_pitch_perf.items():
+        score_ids = by_pitch_score.get(pitch, [])
+        anchors.extend(zip(perf_ids, score_ids))
+    anchors.sort()
+    return anchors
+
+
+def greedy_path_loop(perf_on, perf_pitch, score_mapped, score_pitch):
+    """A per-note form of ``perfid.align._greedy_path``'s bound path.
+
+    Each performance note takes the score note of its pitch after the last
+    match that lies nearest in time, when their onsets differ by less than
+    the skip penalty. It may match notes the lane form leaves out, so the
+    two paths need not be equal.
+    """
+    lanes = {}
+    for j, p in enumerate(score_pitch.tolist()):
+        lanes.setdefault(p, []).append(j)
+    heads = dict.fromkeys(lanes, 0)
+    mapped = score_mapped.tolist()
+    pairs = []
+    last = -1
+    for i, (t, p) in enumerate(zip(perf_on.tolist(), perf_pitch.tolist())):
+        lane = lanes.get(p)
+        if lane is None:
+            continue
+        k = heads[p]
+        while k < len(lane) and (lane[k] <= last or mapped[lane[k]] <= t - aligner.SKIP_PENALTY):
+            k += 1
+        while k + 1 < len(lane) and abs(t - mapped[lane[k + 1]]) < abs(t - mapped[lane[k]]):
+            k += 1
+        if k < len(lane) and abs(t - mapped[lane[k]]) < aligner.SKIP_PENALTY:
+            last = lane[k]
+            pairs.append((i, last))
+            k += 1
+        heads[p] = k
+    return pairs
+
+
 def gated_align(perf, score):
     """Reference for ``perfid.align.align``'s seed choice: converge from the
     least-squares pre-match map, and only when fewer than 95 % of notes
@@ -270,7 +320,7 @@ def gated_align(perf, score):
     def solve(a, b):
         if (a, b) not in solved:
             mapped = a * score_on + b
-            greedy = aligner._greedy_path(perf_on, perf_pitch, mapped, score_pitch)
+            greedy = greedy_path_loop(perf_on, perf_pitch, mapped, score_pitch)
             bound = min(
                 aligner._path_cost(p, perf_on, mapped) for p in [greedy, *solved.values()]
             )
@@ -295,7 +345,7 @@ def gated_align(perf, score):
     def cost(pairs, a, b):
         return aligner._path_cost(pairs, perf_on, a * score_on + b)
 
-    anchors = aligner.greedy_pitch_prematch(perf, score)
+    anchors = greedy_pitch_prematch(perf, score)
     anchor_s = score_on[[j for _, j in anchors]]
     anchor_p = perf_on[[i for i, _ in anchors]]
     pairs, a, b = converge(*aligner.fit_time_map(anchor_s, anchor_p))

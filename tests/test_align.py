@@ -17,6 +17,7 @@ from helpers import (
     consensus_time_map_loop,
     dense_dp_pairs,
     gated_align,
+    greedy_pitch_prematch,
     match_cost_proxy_lanes,
     min_alignment_cost,
     note_list,
@@ -33,10 +34,9 @@ from perfid.align import (
     export_alignment,
     filter_matched,
     fit_time_map,
-    greedy_pitch_prematch,
     info_loss,
 )
-from perfid.midi_io import NoteList, parse_midi
+from perfid.midi_io import Note, NoteList, parse_midi
 
 
 def identity_alignment(n, n_extra=0):
@@ -136,6 +136,13 @@ def note_arrays(notes):
     )
 
 
+def anchor_onsets(perf, score):
+    """(score, performance) onsets of the pre-match oracle's anchors."""
+    anchors = greedy_pitch_prematch(perf, score)
+    score_on, perf_on = note_arrays(score)[0], note_arrays(perf)[0]
+    return score_on[[j for _, j in anchors]], perf_on[[i for i, _ in anchors]]
+
+
 def test_banded_dp_equals_dense_reference():
     # Every map align may meet (the pre-match fit, the settled map, and
     # shifted or stretched ones), each under a tight, a greedy and a
@@ -147,15 +154,13 @@ def test_banded_dp_equals_dense_reference():
         perf = dataset.render_performance(score, styles[k % len(styles)], rng)
         perf_on, perf_pitch = note_arrays(perf)
         score_on, score_pitch = note_arrays(score)
-        anchors = greedy_pitch_prematch(perf, score)
-        fitted = fit_time_map(
-            score_on[[j for _, j in anchors]], perf_on[[i for i, _ in anchors]]
-        )
+        lanes = perfid.align._score_lanes(score_on, score_pitch, perf_pitch)
+        fitted = fit_time_map(*anchor_onsets(perf, score))
         a, b = align(perf, score).time_map
         for ma, mb in (fitted, (a, b), (a, b + 0.3), (1.1 * a, b)):
             mapped = ma * score_on + mb
             want = dense_dp_pairs(perf_on, perf_pitch, mapped, score_pitch)
-            greedy = perfid.align._greedy_path(perf_on, perf_pitch, mapped, score_pitch)
+            greedy = perfid.align._greedy_path(perf_on, lanes, ma, mb)
             for bound in (
                 perfid.align._path_cost(want, perf_on, mapped),
                 perfid.align._path_cost(greedy, perf_on, mapped),
@@ -192,9 +197,7 @@ def anchor_sets():
         rng = np.random.default_rng([k, 13])
         score = dataset._make_score(rng, 13 if k == 0 else 100 + 200 * k)
         perf = dataset.render_performance(score, styles[k % len(styles)], rng)
-        anchors = greedy_pitch_prematch(perf, score)
-        score_on, perf_on = note_arrays(score)[0], note_arrays(perf)[0]
-        yield score_on[[j for _, j in anchors]], perf_on[[i for i, _ in anchors]]
+        yield anchor_onsets(perf, score)
     yield np.array([]), np.array([])  # no anchors
     yield np.array([1.5]), np.array([2.0])  # one anchor
     yield np.full(40, 3.0), np.linspace(0.0, 9.0, 40)  # zero-span score
@@ -227,6 +230,63 @@ def test_array_proxy_equals_the_per_lane_sum():
             got = perfid.align._match_cost_proxy(perf_on, lanes, a, b)
             want = match_cost_proxy_lanes(perf_on, perf_pitch, score_on, score_pitch, a, b)
             assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_anchors_equal_the_prematch_oracle():
+    # Seeded takes (one shuffled out of onset order), hand-built lists out
+    # of onset order, pitches present on one side only, and equal-onset
+    # duplicates of one pitch.
+    styles = dataset.hard_styles(2) + dataset.default_styles(2)
+    cases = []
+    for k in range(8):
+        rng = np.random.default_rng([k, 17])
+        score = dataset._make_score(rng, 50 + 100 * k)
+        cases.append((dataset.render_performance(score, styles[k % len(styles)], rng), score))
+    perf, score = cases[-1]
+    cases.append((perf, NoteList(notes=list(np.random.default_rng(3).permutation(score.notes)))))
+    unsorted = NoteList(notes=[
+        Note(p, t, t + 0.1, 64) for p, t in [(62, 3.0), (60, 1.0), (62, 0.5), (60, 2.0), (64, 0.0)]
+    ])
+    duplicated = note_list([(60, 0.0), (60, 0.0), (62, 0.0), (60, 1.0), (62, 1.0), (62, 1.0)])
+    one_sided = note_list([(70, 0.0), (60, 0.5), (71, 1.0)])
+    cases += [
+        (unsorted, duplicated), (duplicated, unsorted), (unsorted, unsorted),
+        (one_sided, duplicated), (duplicated, one_sided),
+        (note_list([(70, 0.0)]), note_list([(60, 0.0)])),  # no shared pitch
+    ]
+    for perf, score in cases:
+        perf_on, perf_pitch = note_arrays(perf)
+        score_on, score_pitch = note_arrays(score)
+        lanes = perfid.align._score_lanes(score_on, score_pitch, perf_pitch)
+        perf_idx, score_idx = perfid.align._anchors(perf_pitch, score_pitch, lanes)
+        got = list(zip(perf_idx.tolist(), score_idx.tolist()))
+        assert got == greedy_pitch_prematch(perf, score)
+
+
+def test_greedy_path_is_monotone_same_pitch_and_no_cheaper_than_the_dp():
+    styles = dataset.hard_styles(3) + dataset.default_styles(3)
+    rng = np.random.default_rng(23)
+    takes = [random_alignment_instance(rng) for _ in range(30)]
+    for k in range(12):
+        rng = np.random.default_rng([k, 19])
+        score = dataset._make_score(rng, 100 + 40 * k)
+        takes.append((dataset.render_performance(score, styles[k % len(styles)], rng), score))
+    for perf, score in takes:
+        perf_on, perf_pitch = note_arrays(perf)
+        score_on, score_pitch = note_arrays(score)
+        lanes = perfid.align._score_lanes(score_on, score_pitch, perf_pitch)
+        a, b = align(perf, score).time_map
+        for ma, mb in ((a, b), (a, b + 0.3), (0.9 * a, b), (-a, b), (0.0, 1.0)):
+            mapped = ma * score_on + mb
+            path = perfid.align._greedy_path(perf_on, lanes, ma, mb)
+            for (i0, j0), (i1, j1) in zip(path, path[1:]):
+                assert i0 < i1 and j0 < j1
+            for i, j in path:
+                assert perf_pitch[i] == score_pitch[j]
+                assert abs(perf_on[i] - mapped[j]) < perfid.align.SKIP_PENALTY
+            optimum = dense_dp_pairs(perf_on, perf_pitch, mapped, score_pitch)
+            got = perfid.align._path_cost(path, perf_on, mapped)
+            assert got >= perfid.align._path_cost(optimum, perf_on, mapped) - 1e-9
 
 
 def test_shifted_map_take_aligns_at_its_cheapest(tmp_path):

@@ -286,6 +286,41 @@ def test_extract_rerun_is_byte_identical(corpus, tmp_path):
     assert tree_hashes(out) == before
 
 
+RECORD = {"id": "a", "pianist": "p", "composition": "c",
+          "perf_midi": "a.mid", "score_midi": "s.mid"}
+
+
+@pytest.mark.parametrize("doc", [
+    {"records": [1, 2]},
+    {"records": [{k: v for k, v in RECORD.items() if k != "score_midi"}]},
+    [RECORD],
+], ids=["non-object-records", "record-missing-a-key", "top-level-list"])
+def test_extract_malformed_registry_is_pipeline_error(doc, tmp_path, capsys):
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    (corpus / "registry.json").write_text(json.dumps(doc))
+    assert main(["extract", "--corpus", str(corpus), "--out", str(tmp_path / "f")]) == 1
+    assert "error: MalformedRegistry: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", ["../../etc/hostname", "/etc/hostname", "sub/../../x.mid"])
+def test_extract_refuses_records_outside_the_corpus(path, corpus, tmp_path, capsys,
+                                                    monkeypatch):
+    root = tmp_path / "c"
+    root.mkdir()
+    records = dataset.load_registry(corpus / "registry.json")
+    bad = replace(records[1], score_midi=path)
+    dataset.save_registry([records[0], bad, *records[2:]], root / "registry.json")
+
+    def no_parse(*args):
+        raise AssertionError("read a MIDI file before checking the registry")
+
+    monkeypatch.setattr(pipeline, "parse_midi", no_parse)
+    assert main(["extract", "--corpus", str(root), "--out", str(tmp_path / "f")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: MalformedRegistry: {bad.id}: {path} lies outside" in err
+
+
 # ---------------------------------------------------------------------------
 # split
 
@@ -618,6 +653,40 @@ def test_eval_corrupt_checkpoint_is_pipeline_error(corpus, trained, tmp_path, ca
     ]
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "ev" / "metrics.json").exists()
+
+
+def set_config(header):
+    header["config"] = 5
+
+
+def set_test_split(header):
+    header["extras"]["split"] = {"Test": 3}
+
+
+def set_array_shape(header):
+    header["arrays"][0]["shape"] = ["a"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (set_config, "error: CorruptCheckpoint: "),
+    (set_test_split, "error: checkpoint lacks usable evaluation metadata: "),
+    (set_array_shape, "error: CorruptCheckpoint: "),
+], ids=["config-is-5", "test-split-is-3", "array-shape-is-a"])
+def test_eval_bad_header_field_is_pipeline_error(edit, message, corpus, trained, tmp_path,
+                                                 capsys):
+    """A header edited behind a still-valid payload digest exits 1, not a traceback."""
+    line, payload = (trained / "checkpoint.bin").read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    edit(header)
+    ckpt = tmp_path / "edited.bin"
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    argv = [
+        "eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+        "--out", str(tmp_path / "ev"), "--level", "piece",
+    ]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "ev" / "metrics.json").exists()
 
 
