@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .midi_io import Note, NoteList
+from .midi_io import NoteList
 
 SKIP_PENALTY = 1.0
 MAX_REFINEMENTS = 2  # time-map refits after the first DP pass in one convergence
@@ -388,11 +388,8 @@ def align(perf: NoteList, score: NoteList) -> Alignment:
         raise EmptyInput("cannot align an empty note list")
     n, m = len(perf), len(score)
 
-    perf_on = np.array([note.onset for note in perf.notes], dtype=np.float64)
-    perf_pitch = np.array([note.pitch for note in perf.notes])
-    score_on = np.array([note.onset for note in score.notes], dtype=np.float64)
-    score_pitch = np.array([note.pitch for note in score.notes])
-
+    perf_on, perf_pitch = perf.onset, perf.pitch
+    score_on, score_pitch = score.onset, score.pitch
     lanes = _score_lanes(score_on, score_pitch, perf_pitch)
 
     def proxy(time_map: tuple[float, float]) -> float:
@@ -458,12 +455,11 @@ def align(perf: NoteList, score: NoteList) -> Alignment:
             if alt_cost < _path_cost(pairs, perf_on, a * score_on + b):
                 seed, pairs, a, b = name, alt_pairs, a1, b1
 
-    matched_p = {p for p, _ in pairs}
-    matched_s = {s for _, s in pairs}
+    idx = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     return Alignment(
         pairs=pairs,
-        missing=[j for j in range(m) if j not in matched_s],
-        extra=[i for i in range(n) if i not in matched_p],
+        missing=np.delete(np.arange(m), idx[:, 1]).tolist(),
+        extra=np.delete(np.arange(n), idx[:, 0]).tolist(),
         time_map=(a, b),
         seed=seed,
         dp_passes=passes,
@@ -474,9 +470,7 @@ def alignment_cost(alignment: Alignment, perf: NoteList, score: NoteList) -> flo
     """Cost of a given alignment under the DP objective (used by tests)."""
     filter_matched(alignment, perf, score)  # bounds check
     a, b = alignment.time_map
-    perf_on = np.array([note.onset for note in perf.notes], dtype=np.float64)
-    score_on = np.array([note.onset for note in score.notes], dtype=np.float64)
-    return _path_cost(alignment.pairs, perf_on, a * score_on + b)
+    return _path_cost(alignment.pairs, perf.onset, a * score.onset + b)
 
 
 def info_loss(alignment: Alignment) -> float:
@@ -486,16 +480,19 @@ def info_loss(alignment: Alignment) -> float:
     return alignment.n_e / alignment.n_p * 100.0
 
 
-def filter_matched(alignment: Alignment, perf: NoteList, score: NoteList) -> list[tuple[Note, Note]]:
-    """Matched (performance, score) note pairs in performance onset order."""
-    for i, j in alignment.pairs:
-        if i >= len(perf) or j >= len(score):
-            raise IndexMismatch(f"pair ({i}, {j}) out of bounds")
+def filter_matched(
+    alignment: Alignment, perf: NoteList, score: NoteList
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matched performance and score note indices in performance onset order."""
+    idx = np.array(sorted(alignment.pairs), dtype=np.int64).reshape(-1, 2)
+    bad = np.flatnonzero((idx[:, 0] >= len(perf)) | (idx[:, 1] >= len(score)))
+    if bad.size:
+        raise IndexMismatch(f"pair {tuple(idx[bad[0]].tolist())} out of bounds")
     if alignment.extra and max(alignment.extra) >= len(perf):
         raise IndexMismatch("extra index out of bounds")
     if alignment.missing and max(alignment.missing) >= len(score):
         raise IndexMismatch("missing index out of bounds")
-    return [(perf.notes[i], score.notes[j]) for i, j in sorted(alignment.pairs)]
+    return idx[:, 0], idx[:, 1]
 
 
 def export_alignment(alignment: Alignment, perf: NoteList, score: NoteList) -> str:
@@ -505,17 +502,15 @@ def export_alignment(alignment: Alignment, perf: NoteList, score: NoteList) -> s
     """
     filter_matched(alignment, perf, score)  # bounds check
     score_for_perf = dict(alignment.pairs)
+    score_on, score_pitch = score.onset.tolist(), score.pitch.tolist()
+
+    def score_cells(j: int | None) -> str:
+        return "*\t*\t*" if j is None else f"{j}\t{score_on[j]:.6f}\t{score_pitch[j]}"
+
     out = io.StringIO()
     out.write("perf_id\tperf_onset\tperf_pitch\tscore_id\tscore_onset\tscore_pitch\n")
-    for i, note in enumerate(perf.notes):
-        j = score_for_perf.get(i)
-        if j is None:
-            out.write(f"{i}\t{note.onset:.6f}\t{note.pitch}\t*\t*\t*\n")
-        else:
-            s = score.notes[j]
-            out.write(f"{i}\t{note.onset:.6f}\t{note.pitch}\t{j}\t{s.onset:.6f}\t{s.pitch}\n")
+    for i, (onset, pitch) in enumerate(zip(perf.onset.tolist(), perf.pitch.tolist())):
+        out.write(f"{i}\t{onset:.6f}\t{pitch}\t{score_cells(score_for_perf.get(i))}\n")
     for j in alignment.missing:
-        s = score.notes[j]
-        out.write(f"*\t*\t*\t{j}\t{s.onset:.6f}\t{s.pitch}\n")
+        out.write(f"*\t*\t*\t{score_cells(j)}\n")
     return out.getvalue()
-

@@ -100,18 +100,10 @@ def _refuse_existing(paths: list[Path], force: bool) -> None:
         )
 
 
-def _existing_file(path: Path | None, what: str) -> Path:
+def _existing(path: Path | None, what: str, exists=Path.is_file) -> Path:
     if path is None:
         raise UsageError(f"{what} is required")
-    if not path.is_file():
-        raise UsageError(f"{what} not found: {path}")
-    return path
-
-
-def _existing_dir(path: Path | None, what: str) -> Path:
-    if path is None:
-        raise UsageError(f"{what} is required")
-    if not path.is_dir():
+    if not exists(path):
         raise UsageError(f"{what} not found: {path}")
     return path
 
@@ -204,8 +196,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_align(args: argparse.Namespace) -> int:
     out = args.out
-    perf_path = _existing_file(args.perf, "performance MIDI")
-    score_path = _existing_file(args.score, "score MIDI")
+    perf_path = _existing(args.perf, "performance MIDI")
+    score_path = _existing(args.score, "score MIDI")
     _refuse_existing([out], args.force)
 
     try:
@@ -231,7 +223,7 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     out = args.out
-    corpus = _existing_dir(args.corpus, "corpus directory")
+    corpus = _existing(args.corpus, "corpus directory", Path.is_dir)
     records = pipeline.load_corpus(corpus)
     _refuse_existing([out / f"{r.id}.f32" for r in records], args.force)
     schema = features.resolve_schema(args.combo)
@@ -252,7 +244,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_split(args: argparse.Namespace) -> int:
     out = args.out
-    registry = _existing_file(args.registry, "registry")
+    registry = _existing(args.registry, "registry")
     _refuse_existing([out], args.force)
 
     records = dataset.load_registry(registry)
@@ -268,14 +260,14 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     out = args.out
-    corpus = _existing_dir(args.corpus, "corpus directory")
+    corpus = _existing(args.corpus, "corpus directory", Path.is_dir)
     _refuse_existing([out / "checkpoint.bin", out / "epochs.csv"], args.force)
     records = pipeline.load_corpus(corpus)
     settings = _settings(args)
     if args.split_csv is None:
         assignment = dataset.split(records, args.split_seed)
     else:
-        text = _existing_file(args.split_csv, "split CSV").read_text()
+        text = _existing(args.split_csv, "split CSV").read_text()
         assignment = dataset.assignment_from_csv(text)
         del settings["split-seed"]  # the CSV fixes the split
     records = [r for r in records if r.id in assignment.assignment]
@@ -301,8 +293,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     out = args.out
-    corpus = _existing_dir(args.corpus, "corpus directory")
-    ckpt_path = _existing_file(args.checkpoint, "checkpoint")
+    corpus = _existing(args.corpus, "corpus directory", Path.is_dir)
+    ckpt_path = _existing(args.checkpoint, "checkpoint")
     _refuse_existing([out / "metrics.json", out / "predictions.csv"], args.force)
 
     model, header = load_checkpoint(ckpt_path)
@@ -312,6 +304,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         class_names = list(extras["class_names"])
         combo_cols = tuple(extras["schema"])
         segment_length = extras.get("segment_length")
+        if segment_length is not None and (type(segment_length) is not int or segment_length < 2):
+            raise TypeError(f"segment_length {segment_length!r} is not null or an integer >= 2")
         split_ids = extras["split"][args.split]
         if not (isinstance(split_ids, list) and all(isinstance(i, str) for i in split_ids)):
             raise TypeError(f"{args.split} split is not a list of record ids")
@@ -371,12 +365,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_study(args: argparse.Namespace) -> int:
     out = args.out
-    corpus = _existing_dir(args.corpus, "corpus directory")
+    corpus = _existing(args.corpus, "corpus directory", Path.is_dir)
     _refuse_existing([out / "report.md"], args.force)
     config = _train_config(args)
 
     if args.id == "study3":
-        corpus_b = _existing_dir(args.corpus_b, "second corpus")
+        corpus_b = _existing(args.corpus_b, "second corpus", Path.is_dir)
         seeds = args.split_seeds
         result = studies.study3(
             corpus, corpus_b, out, split_seeds=tuple(seeds), config=config

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .midi_io import Note, NoteList, write_midi
+from .midi_io import NoteList, write_midi
 
 SPLITS = ("Train", "Valid", "Test")
 
@@ -44,6 +44,11 @@ class InvalidStyleConfig(ValueError):
 class MalformedRegistry(ValueError):
     """Not a list of records with string fields, a repeated record id, or a
     record whose MIDI path leaves its corpus directory."""
+
+
+class MalformedSplitCsv(ValueError):
+    """A split CSV with a bad header, a row without 4 fields, an unknown
+    split or a repeated record id; names the 1-based line."""
 
 
 @dataclass(frozen=True)
@@ -133,14 +138,19 @@ def assignment_to_csv(assignment: SplitAssignment, records: list[PerformanceReco
 
 
 def assignment_from_csv(text: str) -> SplitAssignment:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "id,pianist,composition,split":
-        raise ValueError("bad split CSV header")
+    rows = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not rows or rows[0][1] != "id,pianist,composition,split":
+        raise MalformedSplitCsv("bad split CSV header")
     assignment = {}
-    for line in lines[1:]:
-        rec_id, _, _, s = line.split(",")
+    for k, line in rows[1:]:
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise MalformedSplitCsv(f"line {k}: want 4 fields, got {len(fields)}")
+        rec_id, _, _, s = fields
         if s not in SPLITS:
-            raise ValueError(f"unknown split {s!r}")
+            raise MalformedSplitCsv(f"line {k}: unknown split {s!r}")
+        if rec_id in assignment:
+            raise MalformedSplitCsv(f"line {k}: repeated record id {rec_id!r}")
         assignment[rec_id] = s
     return SplitAssignment(assignment=assignment)
 
@@ -255,16 +265,8 @@ def _make_score(rng: np.random.Generator, n_notes: int) -> NoteList:
     steps = rng.integers(-3, 4, size=n_notes)
     degree = np.clip(np.cumsum(steps) + len(_DIATONIC) // 2, 0, len(_DIATONIC) - 1)
     velocities = rng.integers(58, 72, size=n_notes)
-    notes = [
-        Note(
-            pitch=int(_DIATONIC[degree[i]]),
-            onset=float(onsets[i]),
-            offset=float(onsets[i] + iois[i] * 0.85),
-            velocity=int(velocities[i]),
-        )
-        for i in range(n_notes)
-    ]
-    return NoteList(notes=notes, ticks_per_quarter=480)
+    return NoteList(np.array(_DIATONIC)[degree], onsets, onsets + iois * 0.85, velocities,
+                    ticks_per_quarter=480)
 
 
 def render_performance(score: NoteList, style: StyleConfig,
@@ -276,36 +278,26 @@ def render_performance(score: NoteList, style: StyleConfig,
     def warp(t: float) -> float:
         return t + style.tempo_amplitude * math.sin(two_pi * t / style.tempo_period + phase)
 
-    notes = []
-    for note in score.notes:
+    rows = []  # (pitch, onset, offset, velocity)
+    for pitch, start, end, score_velocity in zip(
+        score.pitch.tolist(), score.onset.tolist(), score.offset.tolist(), score.velocity.tolist()
+    ):
         if rng.random() < style.missing_rate:
             continue
-        onset = warp(note.onset) + style.timing_jitter * rng.standard_normal()
-        duration = note.duration * style.articulation
-        velocity = int(round(note.velocity + style.velocity_bias
+        onset = warp(start) + style.timing_jitter * rng.standard_normal()
+        duration = (end - start) * style.articulation
+        velocity = int(round(score_velocity + style.velocity_bias
                              + style.velocity_spread * rng.standard_normal()))
-        notes.append(
-            Note(
-                pitch=note.pitch,
-                onset=max(0.0, onset),
-                offset=max(0.0, onset) + duration,
-                velocity=min(max(velocity, 1), 127),
-            )
-        )
+        rows.append((pitch, max(0.0, onset), max(0.0, onset) + duration,
+                     min(max(velocity, 1), 127)))
         if rng.random() < style.extra_rate:
             # a brushed wrong note right next to the real one
-            pitch = int(note.pitch + rng.choice([-2, -1, 1, 2]))
+            wrong = int(pitch + rng.choice([-2, -1, 1, 2]))
             extra_onset = max(0.0, onset + rng.uniform(-0.03, 0.03))
-            notes.append(
-                Note(
-                    pitch=min(max(pitch, 0), 127),
-                    onset=extra_onset,
-                    offset=extra_onset + duration * 0.5,
-                    velocity=min(max(velocity - 8, 1), 127),
-                )
-            )
-    notes.sort(key=lambda n: (n.onset, n.pitch, n.channel))
-    return NoteList(notes=notes, ticks_per_quarter=score.ticks_per_quarter)
+            rows.append((min(max(wrong, 0), 127), extra_onset, extra_onset + duration * 0.5,
+                         min(max(velocity - 8, 1), 127)))
+    columns = np.array(rows, dtype=np.float64).reshape(-1, 4).T
+    return NoteList(*columns, ticks_per_quarter=score.ticks_per_quarter).sorted()
 
 
 def synth_generate(styles: list[StyleConfig], n_pieces: int, perf_per_cell: int,

@@ -43,10 +43,9 @@ def extract_performance(
     root = Path(root)
     perf = parse_midi((root / record.perf_midi).read_bytes())
     score = parse_midi((root / record.score_midi).read_bytes())
-    alignment = align(perf, score)
-    pairs = filter_matched(alignment, perf, score)
+    matched = filter_matched(align(perf, score), perf, score)
     return features.assemble(
-        pairs, "C5", label=record.pianist, piece_id=record.id
+        perf, score, matched, "C5", label=record.pianist, piece_id=record.id
     )
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .align import fit_time_map
-from .midi_io import Note
+from .midi_io import Note, NoteList
 
 NOTE_COLUMNS = ("pitch", "velocity", "onset", "offset", "duration", "ioi", "otd")
 DEV_COLUMNS = ("dev_velocity", "dev_onset", "dev_offset", "dev_duration", "dev_ioi", "dev_otd")
@@ -119,18 +119,23 @@ class FeatureMatrix:
         return self.rows.shape[0]
 
 
-def _perf_score_arrays(pairs: list[tuple[Note, Note]]):
-    perf = np.array(
-        [(p.pitch, p.velocity, p.onset, p.offset) for p, _ in pairs], dtype=np.float64
-    )
-    score = np.array(
-        [(s.pitch, s.velocity, s.onset, s.offset) for _, s in pairs], dtype=np.float64
-    )
-    return perf, score
+def _pair_rows(pairs: list[tuple[Note, Note]]):
+    """Performance and score (pitch, velocity, onset, offset) rows of note pairs."""
+    rows = np.array([[(n.pitch, n.velocity, n.onset, n.offset) for n in pair] for pair in pairs],
+                    dtype=np.float64).reshape(-1, 2, 4)
+    return rows[:, 0], rows[:, 1]
+
+
+def _gather(notes: NoteList, idx: np.ndarray) -> np.ndarray:
+    """(pitch, velocity, onset, offset) float64 rows of the indexed notes."""
+    return np.column_stack([notes.pitch[idx], notes.velocity[idx],
+                            notes.onset[idx], notes.offset[idx]])
 
 
 def _timing_columns(onsets: np.ndarray, offsets: np.ndarray):
     """duration, ioi, otd; the final note gets ioi = otd = 0."""
+    if len(onsets) < 2:
+        raise TooFewNotes(f"need at least 2 matched notes, got {len(onsets)}")
     duration = offsets - onsets
     ioi = np.zeros_like(onsets)
     otd = np.zeros_like(onsets)
@@ -139,25 +144,18 @@ def _timing_columns(onsets: np.ndarray, offsets: np.ndarray):
     return duration, ioi, otd
 
 
-def note_features(pairs: list[tuple[Note, Note]]) -> np.ndarray:
-    """The 7 note-wise columns over the performance side of the pairs."""
-    if len(pairs) < 2:
-        raise TooFewNotes(f"need at least 2 matched notes, got {len(pairs)}")
-    perf, _ = _perf_score_arrays(pairs)
+def _note_columns(perf: np.ndarray) -> np.ndarray:
+    """The 7 note-wise columns from performance rows (see ``_gather``)."""
     duration, ioi, otd = _timing_columns(perf[:, 2], perf[:, 3])
     return np.column_stack([perf[:, 0], perf[:, 1], perf[:, 2], perf[:, 3], duration, ioi, otd])
 
 
-def deviation_features(pairs: list[tuple[Note, Note]]) -> np.ndarray:
-    """The 6 deviation columns (performance minus time-mapped score)."""
-    if len(pairs) < 2:
-        raise TooFewNotes(f"need at least 2 matched notes, got {len(pairs)}")
-    perf, score = _perf_score_arrays(pairs)
+def _deviation_columns(perf: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """The 6 deviation columns from matched performance and score rows."""
+    p_dur, p_ioi, p_otd = _timing_columns(perf[:, 2], perf[:, 3])
     if np.ptp(score[:, 2]) == 0.0:
         raise DegenerateFit("all score onsets are equal")
     a, b = fit_time_map(score[:, 2], perf[:, 2])
-
-    p_dur, p_ioi, p_otd = _timing_columns(perf[:, 2], perf[:, 3])
     s_dur, s_ioi, s_otd = _timing_columns(score[:, 2], score[:, 3])
     return np.column_stack([
         perf[:, 1] - score[:, 1],
@@ -169,6 +167,16 @@ def deviation_features(pairs: list[tuple[Note, Note]]) -> np.ndarray:
     ])
 
 
+def note_features(pairs: list[tuple[Note, Note]]) -> np.ndarray:
+    """The 7 note-wise columns over the performance side of the pairs."""
+    return _note_columns(_pair_rows(pairs)[0])
+
+
+def deviation_features(pairs: list[tuple[Note, Note]]) -> np.ndarray:
+    """The 6 deviation columns (performance minus time-mapped score)."""
+    return _deviation_columns(*_pair_rows(pairs))
+
+
 def resolve_schema(combo: str | FeatureSchema) -> FeatureSchema:
     if isinstance(combo, FeatureSchema):
         return combo
@@ -178,15 +186,20 @@ def resolve_schema(combo: str | FeatureSchema) -> FeatureSchema:
         raise UnknownCombination(f"unknown feature combination {combo!r}") from None
 
 
-def assemble(pairs: list[tuple[Note, Note]], combo: str | FeatureSchema,
-             label: str = "", piece_id: str = "") -> FeatureMatrix:
-    """Feature matrix for one performance under the given combination."""
+def assemble(perf: NoteList, score: NoteList, matched: tuple[np.ndarray, np.ndarray],
+             combo: str | FeatureSchema, label: str = "", piece_id: str = "") -> FeatureMatrix:
+    """Feature matrix for one performance under the given combination.
+
+    ``matched`` holds the performance and score indices of the matched
+    notes, in performance onset order (``align.filter_matched``).
+    """
     schema = resolve_schema(combo)
+    perf_rows, score_rows = _gather(perf, matched[0]), _gather(score, matched[1])
     blocks = {}
     if any(c in NOTE_COLUMNS for c in schema.columns):
-        blocks.update(zip(NOTE_COLUMNS, note_features(pairs).T))
+        blocks.update(zip(NOTE_COLUMNS, _note_columns(perf_rows).T))
     if any(c in DEV_COLUMNS for c in schema.columns):
-        blocks.update(zip(DEV_COLUMNS, deviation_features(pairs).T))
+        blocks.update(zip(DEV_COLUMNS, _deviation_columns(perf_rows, score_rows).T))
     rows = np.column_stack([blocks[c] for c in schema.columns])
     return FeatureMatrix(schema=schema, rows=rows, label=label, piece_id=piece_id)
 

@@ -1,18 +1,27 @@
-"""Standard MIDI File (format 0/1) reading and writing.
+"""Standard MIDI File (format 0/1) reading and writing, and the note format.
 
 Performances and scores are flattened to a single ordered note stream with
 absolute times in seconds, which is all the downstream alignment and
 feature code needs. Meta events other than tempo are skipped; sustain
 pedal is not modelled (offsets are taken as transcribed).
+
+A ``NoteList`` holds that stream as five equal-length columns: int64
+``pitch``, ``velocity`` and ``channel``, float64 ``onset``/``offset``
+seconds. Parsed and synthetic lists are in (onset, pitch, channel) order,
+ties in input order. Pipeline stages read and build only the columns;
+``NoteList.notes`` builds ``Note`` objects on access, for tests only.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 DEFAULT_TEMPO = 500000  # microseconds per quarter note
+COLUMNS = (("pitch", np.int64), ("onset", np.float64), ("offset", np.float64),
+           ("velocity", np.int64), ("channel", np.int64))
 
 
 class MalformedHeader(ValueError):
@@ -23,9 +32,21 @@ class UnsupportedFormat(ValueError):
     """SMF format 2 or SMPTE time division."""
 
 
+def _check_notes(pitch, onset, offset, velocity, channel) -> None:
+    """Raise ValueError naming the first note value outside its range."""
+    for name, values, lo, hi in (("pitch", pitch, 0, 127), ("velocity", velocity, 1, 127),
+                                 ("channel", channel, 0, 15)):
+        bad = np.flatnonzero((values < lo) | (values > hi))
+        if bad.size:
+            raise ValueError(f"{name} {values[bad[0]]} outside [{lo}, {hi}]")
+    bad = np.flatnonzero(~(offset > onset))
+    if bad.size:
+        raise ValueError(f"offset {offset[bad[0]]} must exceed onset {onset[bad[0]]}")
+
+
 @dataclass(frozen=True)
 class Note:
-    """One sounded note with absolute times in seconds."""
+    """One sounded note with absolute times in seconds: a row of a NoteList."""
 
     pitch: int
     onset: float
@@ -34,43 +55,56 @@ class Note:
     channel: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.pitch <= 127:
-            raise ValueError(f"pitch {self.pitch} outside [0, 127]")
-        if not 1 <= self.velocity <= 127:
-            raise ValueError(f"velocity {self.velocity} outside [1, 127]")
-        if not 0 <= self.channel <= 15:
-            raise ValueError(f"channel {self.channel} outside [0, 15]")
-        if not self.offset > self.onset:
-            raise ValueError(f"offset {self.offset} must exceed onset {self.onset}")
-
-    @property
-    def duration(self) -> float:
-        return self.offset - self.onset
+        _check_notes(*(np.array([getattr(self, name)]) for name, _ in COLUMNS))
 
 
-@dataclass
+@dataclass(eq=False)
 class NoteList:
-    """Notes sorted by (onset, pitch, channel) plus the tempo map.
+    """Notes as five equal-length 1-D columns plus the tempo map.
 
+    ``pitch``, ``velocity`` and ``channel`` are int64, ``onset`` and
+    ``offset`` float64 seconds; row k of every column is note k. Lists from
+    ``parse_midi``, the synthetic generator and ``sorted`` are in
+    (onset, pitch, channel) order. Construction converts the columns to
+    their dtypes and checks every note's ranges, raising ValueError for
+    the first bad value, but does not sort. A missing ``channel`` puts
+    every note on channel 0. ``notes`` builds one ``Note`` per row on each
+    access; no pipeline stage calls it.
     ``tempo_map`` holds (tick, microseconds per quarter) entries sorted by
     tick with the first entry at tick 0. ``n_unterminated`` counts note-ons
     that had no matching off and were closed at track end.
     """
 
-    notes: list[Note]
+    pitch: np.ndarray
+    onset: np.ndarray
+    offset: np.ndarray
+    velocity: np.ndarray
+    channel: np.ndarray | None = None
     ticks_per_quarter: int = 480
     tempo_map: list[tuple[int, int]] = field(default_factory=lambda: [(0, DEFAULT_TEMPO)])
     n_unterminated: int = 0
 
+    def __post_init__(self):
+        if self.channel is None:
+            self.channel = np.zeros(len(self.pitch), dtype=np.int64)
+        for name, dtype in COLUMNS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({getattr(self, name).shape for name, _ in COLUMNS}) != 1 or self.pitch.ndim != 1:
+            raise ValueError("note columns must be 1-D arrays of one length")
+        _check_notes(self.pitch, self.onset, self.offset, self.velocity, self.channel)
+
     def __len__(self) -> int:
-        return len(self.notes)
+        return len(self.pitch)
 
-    def __iter__(self):
-        return iter(self.notes)
+    @property
+    def notes(self) -> list[Note]:
+        """One ``Note`` per row, built on each access."""
+        return list(map(Note, *(getattr(self, name).tolist() for name, _ in COLUMNS)))
 
-
-def _sorted_notes(notes) -> list[Note]:
-    return sorted(notes, key=lambda n: (n.onset, n.pitch, n.channel))
+    def sorted(self) -> NoteList:
+        """The notes in (onset, pitch, channel) order, equal keys kept in place."""
+        order = np.lexsort((self.channel, self.pitch, self.onset))
+        return replace(self, **{name: getattr(self, name)[order] for name, _ in COLUMNS})
 
 
 def _read_varlen(data: bytes, pos: int, end: int) -> tuple[int, int]:
@@ -96,26 +130,29 @@ def _write_varlen(value: int) -> bytes:
 
 
 class _TempoMap:
-    """Piecewise-linear tick<->second conversion."""
+    """Piecewise-linear tick<->second conversion of whole arrays."""
 
     def __init__(self, entries: list[tuple[int, int]], ticks_per_quarter: int):
         self.entries = entries
         self.tpq = ticks_per_quarter
-        self.ticks = [t for t, _ in entries]
-        self.times = [0.0]
+        times = [0.0]
         for (t0, tempo), (t1, _) in zip(entries, entries[1:]):
-            self.times.append(self.times[-1] + (t1 - t0) * tempo / (1e6 * self.tpq))
+            times.append(times[-1] + (t1 - t0) * tempo / (1e6 * self.tpq))
+        self.times = np.array(times)
+        self.ticks = np.array([t for t, _ in entries], dtype=np.int64)
+        self.tempos = np.array([tempo for _, tempo in entries], dtype=np.float64)
 
-    def to_seconds(self, tick: int) -> float:
-        i = bisect_right(self.ticks, tick) - 1
-        t0, tempo = self.entries[i]
-        return self.times[i] + (tick - t0) * tempo / (1e6 * self.tpq)
+    def to_seconds(self, ticks: np.ndarray) -> np.ndarray:
+        # tick differences and tempos are exact in float64, so their product
+        # is the exact integer product rounded once
+        i = np.searchsorted(self.ticks, ticks, side="right") - 1
+        elapsed = (ticks - self.ticks[i]).astype(np.float64)
+        return self.times[i] + elapsed * self.tempos[i] / (1e6 * self.tpq)
 
-    def to_tick(self, seconds: float) -> int:
-        i = bisect_right(self.times, seconds) - 1
-        i = max(i, 0)
-        t0, tempo = self.entries[i]
-        return t0 + int(round((seconds - self.times[i]) * 1e6 * self.tpq / tempo))
+    def to_ticks(self, seconds: np.ndarray) -> np.ndarray:
+        i = np.maximum(np.searchsorted(self.times, seconds, side="right") - 1, 0)
+        beats = (seconds - self.times[i]) * 1e6 * self.tpq / self.tempos[i]
+        return self.ticks[i] + np.rint(beats).astype(np.int64)
 
 
 def _normalize_tempo_map(raw: dict[int, int]) -> list[tuple[int, int]]:
@@ -125,14 +162,8 @@ def _normalize_tempo_map(raw: dict[int, int]) -> list[tuple[int, int]]:
     return entries
 
 
-def parse_midi(data: bytes) -> NoteList:
-    """Parse SMF format 0/1 bytes into a NoteList.
-
-    All tracks are merged into one stream. Note-ons pair with the next
-    matching off (or velocity-0 on) on the same pitch and channel,
-    first-in-first-out; unterminated note-ons are closed at track end and
-    counted in ``n_unterminated``. Zero-duration on/off pairs are dropped.
-    """
+def _scan(data: bytes):
+    """``parse_midi``'s event loop: division, raw notes, tempo map, unterminated."""
     if len(data) < 14 or data[:4] != b"MThd":
         raise MalformedHeader("missing MThd magic")
     header_len = struct.unpack(">I", data[4:8])[0]
@@ -232,21 +263,26 @@ def parse_midi(data: bytes) -> NoteList:
                 if tick > on_tick:
                     raw_notes.append((on_tick, tick, pitch, on_vel, channel))
 
-    tempo_map = _normalize_tempo_map(tempo_events)
+    return division, raw_notes, _normalize_tempo_map(tempo_events), n_unterminated
+
+
+def parse_midi(data: bytes) -> NoteList:
+    """Parse SMF format 0/1 bytes into a NoteList.
+
+    All tracks are merged into one stream. Note-ons pair with the next
+    matching off (or velocity-0 on) on the same pitch and channel,
+    first-in-first-out; unterminated note-ons are closed at track end and
+    counted in ``n_unterminated``. Zero-duration on/off pairs are dropped.
+    """
+    division, raw_notes, tempo_map, n_unterminated = _scan(data)
+    on, off, pitch, velocity, channel = np.array(raw_notes, dtype=np.int64).reshape(-1, 5).T
     tmap = _TempoMap(tempo_map, division)
     try:
-        notes = [
-            Note(pitch, tmap.to_seconds(on), tmap.to_seconds(off), vel, ch)
-            for on, off, pitch, vel, ch in raw_notes
-        ]
+        notes = NoteList(pitch, tmap.to_seconds(on), tmap.to_seconds(off), velocity, channel,
+                         division, tempo_map, n_unterminated)
     except ValueError as exc:  # a zero tempo leaves a note without duration
         raise MalformedHeader(f"bad note: {exc}") from exc
-    return NoteList(
-        notes=_sorted_notes(notes),
-        ticks_per_quarter=division,
-        tempo_map=tempo_map,
-        n_unterminated=n_unterminated,
-    )
+    return notes.sorted()
 
 
 def write_midi(note_list: NoteList) -> bytes:
@@ -263,11 +299,13 @@ def write_midi(note_list: NoteList) -> bytes:
     events: list[tuple[int, int, bytes]] = []
     for tick, tempo in tmap.entries:
         events.append((tick, 0, bytes([0xFF, 0x51, 0x03]) + tempo.to_bytes(3, "big")))
-    for note in note_list.notes:
-        on = tmap.to_tick(note.onset)
-        off = max(tmap.to_tick(note.offset), on + 1)
-        events.append((on, 2, bytes([0x90 | note.channel, note.pitch, note.velocity])))
-        events.append((off, 1, bytes([0x80 | note.channel, note.pitch, 0])))
+    on = tmap.to_ticks(note_list.onset)
+    off = np.maximum(tmap.to_ticks(note_list.offset), on + 1)
+    rows = zip(on.tolist(), off.tolist(), note_list.pitch.tolist(),
+               note_list.velocity.tolist(), note_list.channel.tolist())
+    for on_tick, off_tick, pitch, velocity, channel in rows:
+        events.append((on_tick, 2, bytes([0x90 | channel, pitch, velocity])))
+        events.append((off_tick, 1, bytes([0x80 | channel, pitch, 0])))
     events.sort(key=lambda e: (e[0], e[1], e[2]))
 
     body = bytearray()

@@ -28,27 +28,3 @@ from .model import (
     save_checkpoint,
 )
 from .optim import AdamState, adam_step
-
-__all__ = [
-    "AdamState",
-    "BatchTooSmall",
-    "LabelOutOfRange",
-    "ModelConfig",
-    "NotScalarLoss",
-    "PianistConvNet",
-    "ShapeMismatch",
-    "Tensor",
-    "ZeroLength",
-    "adam_step",
-    "batchnorm1d",
-    "conv1d",
-    "dense",
-    "desk_config",
-    "dropout",
-    "load_checkpoint",
-    "masked_global_avg_pool",
-    "param_count",
-    "relu",
-    "save_checkpoint",
-    "softmax_cross_entropy",
-]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,15 +61,7 @@ class ModelConfig:
             raise ValueError("dense dropout rate must lie in [0, 1)")
 
     def to_json(self) -> dict:
-        return {
-            "in_features": self.in_features,
-            "n_classes": self.n_classes,
-            "channels": list(self.channels),
-            "kernel_size": self.kernel_size,
-            "strides": list(self.strides),
-            "conv_dropout": list(self.conv_dropout),
-            "dense_dropout": self.dense_dropout,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":

@@ -2,11 +2,13 @@
 
 import hashlib
 import itertools
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
 
 from perfid import align as aligner
+from perfid import midi_io
 from perfid.midi_io import Note, NoteList
 from perfid.neural import Tensor
 
@@ -54,6 +56,17 @@ def check_gradients(fn, tensors, h=1e-5, rel_tol=1e-4):
             assert abs(numeric - analytic[i]) <= rel_tol * scale, (t, i)
 
 
+def sorted_notes(notes):
+    """Reference for ``NoteList.sorted``: a keyed sort of Note objects."""
+    return sorted(notes, key=lambda n: (n.onset, n.pitch, n.channel))
+
+
+def from_notes(notes, **kwargs):
+    """NoteList whose row k is ``notes[k]``; ``kwargs`` set the other fields."""
+    columns = [[getattr(n, name) for n in notes] for name, _ in midi_io.COLUMNS]
+    return NoteList(*columns, **kwargs)
+
+
 def note_list(events, duration=0.1, velocity=64):
     """NoteList from (pitch, onset) or (pitch, onset, velocity) tuples."""
     notes = []
@@ -61,8 +74,28 @@ def note_list(events, duration=0.1, velocity=64):
         pitch, onset = event[0], event[1]
         vel = event[2] if len(event) > 2 else velocity
         notes.append(Note(pitch, onset, onset + duration, vel))
-    notes.sort(key=lambda n: (n.onset, n.pitch, n.channel))
-    return NoteList(notes=notes)
+    return from_notes(sorted_notes(notes))
+
+
+def parse_per_note(data):
+    """Reference for ``perfid.midi_io.parse_midi``'s notes: one bisect
+    tick-to-second conversion and one ``Note`` per note, then a keyed sort.
+    Reads the same note events, so the two must agree bit for bit."""
+    division, raw_notes, tempo_map, _ = midi_io._scan(data)
+    ticks = [t for t, _ in tempo_map]
+    times = [0.0]
+    for (t0, tempo), (t1, _) in zip(tempo_map, tempo_map[1:]):
+        times.append(times[-1] + (t1 - t0) * tempo / (1e6 * division))
+
+    def to_seconds(tick):
+        i = bisect_right(ticks, tick) - 1
+        t0, tempo = tempo_map[i]
+        return times[i] + (tick - t0) * tempo / (1e6 * division)
+
+    return sorted_notes(
+        Note(pitch, to_seconds(on), to_seconds(off), vel, ch)
+        for on, off, pitch, vel, ch in raw_notes
+    )
 
 
 def random_alignment_instance(rng, max_notes=7, n_pitches=3):
@@ -92,10 +125,7 @@ def min_alignment_cost(perf, score, a, b, skip=1.0):
     with an equal-size sorted score index subset, so enumerate all of
     them. Feasible only when zipped pitches agree elementwise.
     """
-    po = np.array([x.onset for x in perf.notes])
-    pp = np.array([x.pitch for x in perf.notes])
-    so = np.array([x.onset for x in score.notes])
-    sp = np.array([x.pitch for x in score.notes])
+    po, pp, so, sp = perf.onset, perf.pitch, score.onset, score.pitch
     mapped = a * so + b
     n, m = len(po), len(so)
     best = skip * (n + m)  # the empty matching
@@ -260,10 +290,10 @@ def greedy_pitch_prematch(perf, score):
     with the k-th occurrence on the other."""
     by_pitch_perf = {}
     by_pitch_score = {}
-    for i, note in enumerate(perf.notes):
-        by_pitch_perf.setdefault(note.pitch, []).append(i)
-    for j, note in enumerate(score.notes):
-        by_pitch_score.setdefault(note.pitch, []).append(j)
+    for i, pitch in enumerate(perf.pitch.tolist()):
+        by_pitch_perf.setdefault(pitch, []).append(i)
+    for j, pitch in enumerate(score.pitch.tolist()):
+        by_pitch_score.setdefault(pitch, []).append(j)
     anchors = []
     for pitch, perf_ids in by_pitch_perf.items():
         score_ids = by_pitch_score.get(pitch, [])
@@ -310,10 +340,8 @@ def gated_align(perf, score):
     match, also from the consensus and best-offset seeds, keeping the
     cheapest result. Returns (pairs, (a, b), DP passes)."""
     n, m = len(perf), len(score)
-    perf_on = np.array([x.onset for x in perf.notes])
-    perf_pitch = np.array([x.pitch for x in perf.notes])
-    score_on = np.array([x.onset for x in score.notes])
-    score_pitch = np.array([x.pitch for x in score.notes])
+    perf_on, perf_pitch = perf.onset, perf.pitch
+    score_on, score_pitch = score.onset, score.pitch
     solved = {}
     table = np.empty((n + 1) * (m + 3))
 

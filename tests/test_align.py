@@ -16,6 +16,7 @@ import perfid.align
 from helpers import (
     consensus_time_map_loop,
     dense_dp_pairs,
+    from_notes,
     gated_align,
     greedy_pitch_prematch,
     match_cost_proxy_lanes,
@@ -36,7 +37,7 @@ from perfid.align import (
     fit_time_map,
     info_loss,
 )
-from perfid.midi_io import Note, NoteList, parse_midi
+from perfid.midi_io import Note, parse_midi
 
 
 def identity_alignment(n, n_extra=0):
@@ -101,7 +102,7 @@ def test_globally_slower_take_aligns_through_the_consensus_seed():
     rng = np.random.default_rng([0, 900])
     score = dataset._make_score(rng, 900)
     perf = dataset.render_performance(score, dataset.default_styles(6)[0], rng)
-    slow = NoteList(notes=[
+    slow = from_notes([
         replace(n, onset=1.25 * n.onset, offset=1.25 * n.offset) for n in perf.notes
     ])
     result = align(slow, score)
@@ -243,8 +244,8 @@ def test_anchors_equal_the_prematch_oracle():
         score = dataset._make_score(rng, 50 + 100 * k)
         cases.append((dataset.render_performance(score, styles[k % len(styles)], rng), score))
     perf, score = cases[-1]
-    cases.append((perf, NoteList(notes=list(np.random.default_rng(3).permutation(score.notes)))))
-    unsorted = NoteList(notes=[
+    cases.append((perf, from_notes(list(np.random.default_rng(3).permutation(score.notes)))))
+    unsorted = from_notes([
         Note(p, t, t + 0.1, 64) for p, t in [(62, 3.0), (60, 1.0), (62, 0.5), (60, 2.0), (64, 0.0)]
     ])
     duplicated = note_list([(60, 0.0), (60, 0.0), (62, 0.0), (60, 1.0), (62, 1.0), (62, 1.0)])
@@ -349,7 +350,7 @@ def test_ranked_seed_is_never_costlier_than_the_gated_align():
         score = dataset._make_score(rng, 150 + 450 * k // 39)
         perf = dataset.render_performance(score, styles[k % len(styles)], rng)
         if k % 2:
-            perf = NoteList(notes=[
+            perf = from_notes([
                 replace(n, onset=1.25 * n.onset, offset=1.25 * n.offset)
                 for n in perf.notes
             ])
@@ -458,11 +459,11 @@ def test_filter_matched_order_and_count():
     score = note_list([(60, 0.0), (62, 0.5), (64, 1.0), (65, 1.5)])
     perf = note_list([(60, 0.0), (99, 0.2), (62, 0.5), (64, 1.0), (65, 1.5)])
     result = align(perf, score)
-    pairs = filter_matched(result, perf, score)
-    assert len(pairs) == result.n_p - result.n_e
-    onsets = [p.onset for p, _ in pairs]
+    perf_idx, score_idx = filter_matched(result, perf, score)
+    assert len(perf_idx) == len(score_idx) == result.n_p - result.n_e
+    onsets = perf.onset[perf_idx].tolist()
     assert onsets == sorted(onsets)
-    assert all(p.pitch == s.pitch for p, s in pairs)
+    assert perf.pitch[perf_idx].tolist() == score.pitch[score_idx].tolist()
 
 
 def test_filter_matched_bounds_check():

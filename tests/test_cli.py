@@ -461,6 +461,27 @@ def test_train_sizes_the_model_to_the_pianists_of_the_split(tmp_path, monkeypatc
     assert model.config.n_classes == 2
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows: rows[:2] + [rows[2].rsplit(",", 1)[0]] + rows[3:], "line 3: want 4 fields"),
+    (lambda rows: rows[:2] + [rows[2].rsplit(",", 1)[0] + ",Dev"] + rows[3:],
+     "line 3: unknown split 'Dev'"),
+    (lambda rows: rows + [rows[1]], "repeated record id"),
+], ids=["three-fields", "unknown-split", "repeated-id"])
+def test_train_rejects_a_malformed_split_csv(edit, message, corpus, tmp_path, capsys):
+    split_csv = tmp_path / "split.csv"
+    assert main(["split", "--registry", str(corpus / "registry.json"),
+                 "--out", str(split_csv)]) == 0
+    split_csv.write_text("\n".join(edit(split_csv.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    argv = ["train", "--corpus", str(corpus), "--split-csv", str(split_csv),
+            "--out", str(tmp_path / "run"), "--epochs", "1", "--length", "20"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: MalformedSplitCsv: " in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+
 @pytest.mark.parametrize("profile", ["desk", "full"])
 def test_train_on_a_one_pianist_split_fails(profile, corpus, tmp_path, capsys):
     split_csv = tmp_path / "split.csv"
@@ -668,11 +689,21 @@ def set_array_shape(header):
     header["arrays"][0]["shape"] = ["a"]
 
 
+def set_segment_length(value):
+    def edit(header):
+        header["extras"]["segment_length"] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (set_config, "error: CorruptCheckpoint: "),
     (set_test_split, "error: checkpoint lacks usable evaluation metadata: "),
     (set_array_shape, "error: CorruptCheckpoint: "),
-], ids=["config-is-5", "test-split-is-3", "array-shape-is-a"])
+    (set_segment_length("x"), "error: checkpoint lacks usable evaluation metadata: "),
+    (set_segment_length(1), "error: checkpoint lacks usable evaluation metadata: "),
+    (set_segment_length(True), "error: checkpoint lacks usable evaluation metadata: "),
+], ids=["config-is-5", "test-split-is-3", "array-shape-is-a", "segment-length-is-x",
+        "segment-length-is-1", "segment-length-is-true"])
 def test_eval_bad_header_field_is_pipeline_error(edit, message, corpus, trained, tmp_path,
                                                  capsys):
     """A header edited behind a still-valid payload digest exits 1, not a traceback."""

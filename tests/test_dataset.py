@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import note_list
 from perfid.dataset import (
     InvalidStyleConfig,
+    MalformedSplitCsv,
     PerformanceRecord,
     StyleConfig,
     assignment_from_csv,
@@ -133,6 +135,17 @@ def test_assignment_csv_round_trip():
         assignment_from_csv("id,pianist,composition,split\na,p,c,Dev\n")
 
 
+@pytest.mark.parametrize("row, message", [
+    ("b,p,c", "line 4: want 4 fields, got 3"),
+    ("b,p,c,Dev", "line 4: unknown split 'Dev'"),
+    ("a,p,c,Test", "line 4: repeated record id 'a'"),
+], ids=["three-fields", "unknown-split", "repeated-id"])
+def test_split_csv_errors_name_the_line(row, message):
+    text = f"id,pianist,composition,split\na,p,c,Train\n\n{row}\n"
+    with pytest.raises(MalformedSplitCsv, match=re.escape(message)):
+        assignment_from_csv(text)
+
+
 def test_registry_round_trip(tmp_path):
     records = make_records([2, 3])
     path = tmp_path / "registry.json"
@@ -197,7 +210,7 @@ def test_articulation_scales_duration():
     score = note_list([(60, 0.0), (64, 0.5), (67, 1.0)], duration=0.4)
     out = render_performance(score, StyleConfig(articulation=0.5), np.random.default_rng(1))
     for got, want in zip(out.notes, score.notes):
-        assert got.duration == pytest.approx(want.duration * 0.5)
+        assert got.offset - got.onset == pytest.approx((want.offset - want.onset) * 0.5)
 
 
 def test_velocity_bias_applied_and_clipped():

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from perfid import features
+from perfid import features, midi_io
 from perfid.dataset import SplitAssignment, default_styles, synth_generate
 from perfid.experiment.metrics import compute_metrics, confusion_matrix, from_confusion
 from perfid.experiment.pipeline import (
@@ -16,6 +16,7 @@ from perfid.experiment.pipeline import (
     SplitSets,
     build_split_sets,
     extract_corpus,
+    extract_performance,
     load_corpus,
 )
 from perfid.experiment.studies import (
@@ -313,6 +314,18 @@ def test_extract_corpus_keys_full_matrices_by_record(tmp_path):
         assert matrix.schema.columns == features.ALL_COLUMNS
         assert matrix.n_notes > 0
         assert matrix.label == record.pianist
+
+
+def test_extraction_builds_no_note_objects(tmp_path, monkeypatch):
+    """Parse, alignment and features read the NoteList columns only."""
+    records = corpus_on_disk(tmp_path, n_pieces=1, perf_per_cell=1)
+
+    def no_notes(*args, **kwargs):
+        raise AssertionError("the extract path built a per-note Note")
+
+    monkeypatch.setattr(midi_io, "Note", no_notes)
+    for record in records:
+        assert extract_performance(record, tmp_path).n_notes > 0
 
 
 def test_extraction_failure_names_the_record(tmp_path):

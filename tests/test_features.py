@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import note_list
+from helpers import from_notes, note_list
 from perfid.features import (
     ALL_COLUMNS,
     COMBINATIONS,
@@ -32,9 +32,19 @@ def pairs_from(perf, score):
     return list(zip(perf.notes, score.notes))
 
 
-def identity_pairs(n=10, step=0.4):
-    x = note_list([(60 + k % 12, step * k) for k in range(n)])
-    return pairs_from(x, x)
+def matched(perf, score):
+    """``assemble``'s leading arguments with note k of each side matched."""
+    idx = np.arange(len(perf))
+    return perf, score, (idx, idx)
+
+
+def identity_notes(n=10, step=0.4):
+    return note_list([(60 + k % 12, step * k) for k in range(n)])
+
+
+def identity_match(n=10, step=0.4):
+    x = identity_notes(n, step)
+    return matched(x, x)
 
 
 def test_note_feature_columns():
@@ -70,7 +80,8 @@ def test_too_few_notes():
 
 
 def test_identity_deviations_are_zero():
-    rows = deviation_features(identity_pairs())
+    x = identity_notes()
+    rows = deviation_features(pairs_from(x, x))
     assert rows.shape == (10, 6)
     assert np.allclose(rows, 0.0, atol=1e-12)
 
@@ -105,11 +116,10 @@ def test_degenerate_fit_rejected():
 
 def test_combo_column_counts():
     expected = {"C1": 7, "C2": 6, "C3": 6, "C4": 3, "C5": 13}
-    pairs = identity_pairs()
     for combo, count in expected.items():
-        matrix = assemble(pairs, combo)
+        matrix = assemble(*identity_match(), combo)
         assert len(matrix.schema) == count, combo
-        assert matrix.rows.shape == (len(pairs), count)
+        assert matrix.rows.shape == (10, count)
 
 
 def test_combo_contents():
@@ -122,12 +132,12 @@ def test_combo_contents():
 
 def test_unknown_combination():
     with pytest.raises(UnknownCombination):
-        assemble(identity_pairs(), "C9")
+        assemble(*identity_match(), "C9")
 
 
 def test_custom_schema():
     schema = FeatureSchema(("velocity", "dev_ioi"))
-    matrix = assemble(identity_pairs(), schema)
+    matrix = assemble(*identity_match(), schema)
     assert matrix.schema.columns == ("velocity", "dev_ioi")
     assert matrix.rows.shape[1] == 2
 
@@ -148,7 +158,7 @@ def test_shift_invariance():
         Note(s.pitch, s.onset + rng.uniform(-0.02, 0.02), s.offset, s.velocity)
         for s in score.notes
     ]
-    base = assemble(list(zip(perf_notes, score.notes)), "C5")
+    base = assemble(*matched(from_notes(perf_notes), score), "C5")
 
     shift = 17.5
     moved_perf = [
@@ -159,7 +169,7 @@ def test_shift_invariance():
         Note(n.pitch, n.onset + shift, n.offset + shift, n.velocity)
         for n in score.notes
     ]
-    moved = assemble(list(zip(moved_perf, moved_score)), "C5")
+    moved = assemble(*matched(from_notes(moved_perf), from_notes(moved_score)), "C5")
 
     for column in ALL_COLUMNS:
         k = base.schema.index(column)
@@ -170,8 +180,23 @@ def test_shift_invariance():
             assert got == pytest.approx(want, abs=1e-9), column
 
 
+def test_assemble_equals_the_pair_functions():
+    # assemble gathers rows by index; the (Note, Note)-pair functions
+    # convert their pairs into the same rows, so the columns agree bit for bit
+    rng = np.random.default_rng(5)
+    score = note_list([(60 + k % 5, 0.35 * k, 50 + k) for k in range(15)])
+    perf = note_list([(60 + k % 5, 0.35 * k + rng.uniform(-0.02, 0.02), 60 + k)
+                      for k in range(15)])
+    perf_idx = np.array([0, 2, 3, 7, 8, 14])
+    score_idx = np.array([1, 2, 4, 7, 9, 13])
+    rows = assemble(perf, score, (perf_idx, score_idx), "C5").rows
+    pairs = [(perf.notes[i], score.notes[j]) for i, j in zip(perf_idx, score_idx)]
+    want = np.column_stack([note_features(pairs), deviation_features(pairs)])
+    assert np.array_equal(rows, want)
+
+
 def test_segment_counts():
-    matrix = assemble(identity_pairs(25), "C4")
+    matrix = assemble(*identity_match(25), "C4")
     assert len(segment(matrix, 10)) == 2
     assert len(segment(matrix, 25)) == 1
     assert len(segment(matrix, 26)) == 0
@@ -180,8 +205,7 @@ def test_segment_counts():
 
 
 def test_segment_inherits_labels():
-    pairs = identity_pairs(8)
-    matrix = assemble(pairs, "C4", label="someone", piece_id="op1")
+    matrix = assemble(*identity_match(8), "C4", label="someone", piece_id="op1")
     parts = segment(matrix, 4)
     assert [p.label for p in parts] == ["someone", "someone"]
     assert [p.piece_id for p in parts] == ["op1", "op1"]
@@ -206,10 +230,10 @@ def test_segment_conserves_rows(n_rows, length):
 
 
 def test_subset_matches_direct_assembly():
-    pairs = identity_pairs(12)
-    full = assemble(pairs, "C5", label="a", piece_id="b")
+    match = identity_match(12)
+    full = assemble(*match, "C5", label="a", piece_id="b")
     for combo in ("C1", "C2", "C3", "C4"):
-        direct = assemble(pairs, combo)
+        direct = assemble(*match, combo)
         projected = subset(full, combo)
         assert projected.schema.columns == direct.schema.columns
         assert np.allclose(projected.rows, direct.rows)
@@ -217,13 +241,13 @@ def test_subset_matches_direct_assembly():
 
 
 def test_subset_needs_source_columns():
-    narrow = assemble(identity_pairs(), "C4")
+    narrow = assemble(*identity_match(), "C4")
     with pytest.raises(UnknownCombination):
         subset(narrow, "C5")
 
 
 def test_subset_refuses_normalized_input():
-    full = assemble(identity_pairs(), "C5")
+    full = assemble(*identity_match(), "C5")
     stats = fit_normalizer([full])
     with pytest.raises(ValueError):
         subset(apply_normalizer(full, stats), "C4")
@@ -277,8 +301,8 @@ def test_normalizer_empty_rejected():
 
 
 def test_normalizer_schema_mismatch():
-    a = assemble(identity_pairs(), "C4")
-    b = assemble(identity_pairs(), "C5")
+    a = assemble(*identity_match(), "C4")
+    b = assemble(*identity_match(), "C5")
     with pytest.raises(ValueError):
         apply_normalizer(b, fit_normalizer([a]))
 
@@ -294,7 +318,7 @@ def test_matrix_validation():
 
 
 def test_save_load_round_trip(tmp_path):
-    matrix = assemble(identity_pairs(30), "C5", label="p3", piece_id="op7")
+    matrix = assemble(*identity_match(30), "C5", label="p3", piece_id="op7")
     target = tmp_path / "op7.f32"
     save_features(matrix, target)
     loaded = load_features(target)
@@ -305,7 +329,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_load_rejects_truncated_payload(tmp_path):
-    matrix = assemble(identity_pairs(8), "C4")
+    matrix = assemble(*identity_match(8), "C4")
     target = tmp_path / "x.f32"
     save_features(matrix, target)
     target.write_bytes(target.read_bytes()[:-4])

@@ -1,12 +1,15 @@
 """Tests for SMF parsing, serialization, and the tempo map."""
 
 import random
+import re
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import from_notes, parse_per_note
 from perfid.midi_io import (
     DEFAULT_TEMPO,
     MalformedHeader,
@@ -160,6 +163,91 @@ def test_notes_sorted_by_onset_then_pitch():
     assert [n.pitch for n in result.notes] == [60, 70]
 
 
+def assert_columns_equal_oracle(data):
+    """parse_midi's columns equal the per-note oracle's values bit for bit."""
+    got, want = parse_midi(data), parse_per_note(data)
+    assert len(got) == len(want)
+    for name in ("pitch", "onset", "offset", "velocity", "channel"):
+        column = getattr(got, name)
+        assert column.tolist() == [getattr(n, name) for n in want], name
+    return got
+
+
+def test_parse_equals_oracle_on_notes_at_tempo_changes():
+    # three tempo changes; notes start and end exactly on their ticks, so
+    # a conversion that resolved a change tick to the earlier segment
+    # (searchsorted side="left") would give different seconds
+    tempo = track([(0, tempo_event(500000)), (480, tempo_event(250000)),
+                   (480, tempo_event(731111)), (300, tempo_event(412345))])
+    notes = track([(0, on(60, 64)), (480, off(60)), (0, on(62, 70)), (480, on(64, 71)),
+                   (0, off(62)), (300, off(64)), (0, on(65, 72)), (7, on(67, 73)),
+                   (1001, off(65)), (0, off(67))])
+    result = assert_columns_equal_oracle(smf([tempo, notes]))
+    assert len(result) == 5
+    assert result.onset[1] == 0.5 and result.onset[2] == 0.75
+
+
+def test_parse_equals_oracle_on_unterminated_notes():
+    events = [(0, tempo_event(600000)), (0, on(60, 64)), (10, on(61, 65, ch=2)),
+              (10, on(60, 66)), (50, off(60)), (100, on(62, 67)), (0, on(63, 68, ch=9))]
+    result = assert_columns_equal_oracle(smf([track(events, end_delta=333)]))
+    assert result.n_unterminated == 4
+
+
+def test_parse_equals_oracle_on_onset_and_pitch_ties_across_channels():
+    # equal (onset, pitch) on channels 5, 0, 3 and twice on channel 0 with
+    # different velocities: sorted by channel, equal keys in file order
+    events = [(0, on(60, 10, ch=5)), (0, on(60, 11)), (0, on(60, 12, ch=3)),
+              (0, on(59, 13, ch=1)), (240, off(60, ch=5)), (0, off(60)),
+              (0, off(60, ch=3)), (0, off(59, ch=1))]
+    second = track([(0, on(60, 14)), (240, off(60))])
+    result = assert_columns_equal_oracle(smf([track(events), second]))
+    assert result.pitch.tolist() == [59, 60, 60, 60, 60]
+    assert result.channel.tolist() == [1, 0, 0, 3, 5]
+    assert result.velocity.tolist() == [13, 11, 14, 12, 10]
+
+
+def test_parse_equals_oracle_on_random_tempo_maps():
+    rng = random.Random(8)
+    for _ in range(40):
+        events = []
+        for _ in range(rng.randint(1, 60)):
+            delta = rng.choice([0, 0, 1, rng.randint(1, 2000)])
+            kind = rng.random()
+            if kind < 0.15:
+                events.append((delta, tempo_event(rng.randint(1, 2 ** 24 - 1))))
+            elif kind < 0.6:
+                events.append((delta, on(rng.randint(58, 62), rng.randint(1, 127),
+                                         ch=rng.randint(0, 2))))
+            else:
+                events.append((delta, off(rng.randint(58, 62), ch=rng.randint(0, 2))))
+        assert_columns_equal_oracle(smf([track(events, end_delta=rng.randint(0, 50))],
+                                        tpq=rng.randint(1, 960)))
+
+
+def test_note_list_checks_every_row():
+    good = dict(pitch=[60, 61], onset=[0.0, 1.0], offset=[0.5, 1.5], velocity=[64, 64])
+    assert len(NoteList(**good)) == 2
+    for name, bad, message in [
+        ("pitch", [60, 128], "pitch 128 outside [0, 127]"),
+        ("velocity", [64, 0], "velocity 0 outside [1, 127]"),
+        ("offset", [0.5, 1.0], "offset 1.0 must exceed onset 1.0"),
+        ("channel", [0, 16], "channel 16 outside [0, 15]"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            NoteList(**{**good, name: bad})
+    with pytest.raises(ValueError):
+        NoteList(**{**good, "velocity": [64]})
+
+
+def test_note_list_sorted_is_stable():
+    notes = NoteList(pitch=[62, 60, 60, 60], onset=[0.0, 0.0, 0.0, 0.0],
+                     offset=[1.0, 1.0, 1.0, 1.0], velocity=[1, 2, 3, 4], channel=[0, 4, 0, 0])
+    ordered = notes.sorted()
+    assert ordered.velocity.tolist() == [3, 4, 2, 1]
+    assert ordered.pitch.dtype == np.int64 and ordered.onset.dtype == np.float64
+
+
 def test_bad_magic_rejected():
     with pytest.raises(MalformedHeader):
         parse_midi(b"RIFF" + b"\x00" * 20)
@@ -190,7 +278,7 @@ def test_note_event_data_byte_rejected():
 def test_fuzzed_files_parse_or_raise_typed_errors():
     """Mutated and truncated files end in a NoteList or a typed error."""
     notes = [Note(36 + i % 48, i * 0.25, i * 0.25 + 0.2, 20 + i) for i in range(60)]
-    base = write_midi(NoteList(notes=notes, tempo_map=[(0, 500000), (960, 400000)]))
+    base = write_midi(from_notes(notes, tempo_map=[(0, 500000), (960, 400000)]))
     outcomes = set()
     for case in range(3000):
         rng = random.Random(case)
@@ -234,7 +322,7 @@ def note_lists(draw):
         vel = draw(st.integers(1, 127))
         notes.append(Note(pitch, on_tick / 960, (on_tick + dur) / 960, vel))
     notes.sort(key=lambda x: (x.onset, x.pitch, x.channel))
-    return NoteList(notes=notes)
+    return from_notes(notes)
 
 
 @given(note_lists())
@@ -260,6 +348,6 @@ def test_round_trip_is_idempotent(note_list):
 
 def test_round_trip_keeps_tempo_map():
     notes = [Note(60, 0.0, 0.5, 64), Note(62, 1.0, 1.5, 64)]
-    source = NoteList(notes=notes, tempo_map=[(0, 500000), (480, 250000)])
+    source = from_notes(notes, tempo_map=[(0, 500000), (480, 250000)])
     result = parse_midi(write_midi(source))
     assert result.tempo_map == [(0, 500000), (480, 250000)]
