@@ -65,7 +65,8 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
-        return cls(
+        """Inverse of :meth:`to_json`; a field it would not write raises TypeError."""
+        config = cls(
             in_features=int(obj["in_features"]),
             n_classes=int(obj["n_classes"]),
             channels=tuple(int(c) for c in obj["channels"]),
@@ -74,6 +75,9 @@ class ModelConfig:
             conv_dropout=tuple(float(r) for r in obj["conv_dropout"]),
             dense_dropout=float(obj["dense_dropout"]),
         )
+        if config.to_json() != obj:  # "0.2" for 0.2, 13.5 for 13, an unknown field
+            raise TypeError(f"config {obj!r} does not round-trip")
+        return config
 
 
 def desk_config(in_features: int = 13, n_classes: int = 6) -> ModelConfig:
@@ -107,6 +111,9 @@ def param_count(config: ModelConfig) -> int:
 class PianistConvNet:
     """Trainable network instance holding parameters and BN buffers.
 
+    ``params`` (Tensors) and ``buffers`` (batch-norm running statistics)
+    are the one registry of the network's arrays. Their insertion order
+    is both the order of the init draws and the checkpoint layout.
     All randomness (weight init, dropout masks) derives from ``seed``.
     Parameters are float32 by default; pass float64 for gradient checks.
     """
@@ -119,64 +126,39 @@ class PianistConvNet:
         init_ss, drop_ss = root.spawn(2)
         rng = np.random.default_rng(init_ss)
         self._dropout_rng = np.random.default_rng(drop_ss)
+        self.params: dict[str, Tensor] = {}
+        self.buffers: dict[str, np.ndarray] = {}
 
-        self._params: list[tuple[str, Tensor]] = []
-        self._buffers: list[tuple[str, np.ndarray]] = []
+        def param(name, data):
+            self.params[name] = Tensor(data.astype(self.dtype), requires_grad=True)
 
-        def make(name, shape, bound):
-            data = rng.uniform(-bound, bound, size=shape).astype(self.dtype)
-            t = Tensor(data, requires_grad=True)
-            self._params.append((name, t))
-            return t
-
-        self._blocks = []
-        c_in = config.in_features
-        for i, c_out in enumerate(config.channels):
-            fan_in = c_in * config.kernel_size
+        def uniform(name, shape, fan_in):
             bound = 1.0 / np.sqrt(fan_in)
-            w = make(f"conv{i}.weight", (c_out, c_in, config.kernel_size), bound)
-            b = make(f"conv{i}.bias", (c_out,), bound)
-            gamma = Tensor(np.ones(c_out, dtype=self.dtype), requires_grad=True)
-            beta = Tensor(np.zeros(c_out, dtype=self.dtype), requires_grad=True)
-            self._params.append((f"bn{i}.gamma", gamma))
-            self._params.append((f"bn{i}.beta", beta))
-            run_mean = np.zeros(c_out, dtype=self.dtype)
-            run_var = np.ones(c_out, dtype=self.dtype)
-            self._buffers.append((f"bn{i}.running_mean", run_mean))
-            self._buffers.append((f"bn{i}.running_var", run_var))
-            self._blocks.append(
-                {
-                    "weight": w,
-                    "bias": b,
-                    "gamma": gamma,
-                    "beta": beta,
-                    "running_mean": run_mean,
-                    "running_var": run_var,
-                    "stride": config.strides[i],
-                    "dropout": config.conv_dropout[i],
-                }
-            )
-            c_in = c_out
+            param(name, rng.uniform(-bound, bound, size=shape))
 
-        bound = 1.0 / np.sqrt(config.channels[-1])
-        self._dense_w = make(
-            "dense.weight", (config.channels[-1], config.n_classes), bound
-        )
-        self._dense_b = make("dense.bias", (config.n_classes,), bound)
+        c_in, k = config.in_features, config.kernel_size
+        for i, c_out in enumerate(config.channels):
+            uniform(f"conv{i}.weight", (c_out, c_in, k), c_in * k)
+            uniform(f"conv{i}.bias", (c_out,), c_in * k)
+            param(f"bn{i}.gamma", np.ones(c_out))
+            param(f"bn{i}.beta", np.zeros(c_out))
+            self.buffers[f"bn{i}.running_mean"] = np.zeros(c_out, dtype=self.dtype)
+            self.buffers[f"bn{i}.running_var"] = np.ones(c_out, dtype=self.dtype)
+            c_in = c_out
+        uniform("dense.weight", (c_in, config.n_classes), c_in)
+        uniform("dense.bias", (config.n_classes,), c_in)
 
     # -- parameter access ------------------------------------------------
 
     def parameters(self) -> list[Tensor]:
-        return [t for _, t in self._params]
+        return list(self.params.values())
 
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """Parameters then buffers, in declaration order; checkpoint layout."""
-        out = [(name, t.data) for name, t in self._params]
-        out.extend(self._buffers)
-        return out
+        """Parameters then buffers, in registry order; checkpoint layout."""
+        return [(n, t.data) for n, t in self.params.items()] + list(self.buffers.items())
 
     def zero_grad(self) -> None:
-        for _, t in self._params:
+        for t in self.params.values():
             t.grad = None
 
     # -- forward ----------------------------------------------------------
@@ -192,42 +174,39 @@ class PianistConvNet:
         ``x`` is (batch, in_features, max_len) channels-first; ``lengths``
         gives each sample's valid prefix along the last axis (None means
         every sample spans the full axis). Returns (batch, n_classes)
-        logits.
+        logits. Eval mode records no graph: the parameters enter as
+        Tensors without grad, so no op keeps a backward closure or its
+        saved activations.
         """
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 3 or x.shape[1] != self.config.in_features:
             raise ops.ShapeMismatch(
                 f"expected (B, {self.config.in_features}, L), got {x.shape}"
             )
+        p = self.params if training else {n: Tensor(t.data) for n, t in self.params.items()}
         cur = Tensor(x)
         cur_lengths = None
         if lengths is not None:
             cur_lengths = np.asarray(lengths, dtype=np.int64).copy()
 
-        for blk in self._blocks:
-            stride = blk["stride"]
-            cur = ops.conv1d(cur, blk["weight"], blk["bias"], stride=stride)
+        for i, (stride, rate) in enumerate(zip(self.config.strides, self.config.conv_dropout)):
+            cur = ops.conv1d(cur, p[f"conv{i}.weight"], p[f"conv{i}.bias"], stride=stride)
             if cur_lengths is not None:
                 cur_lengths = (cur_lengths + stride - 1) // stride
-            cur = ops.relu(cur)
             cur = ops.batchnorm1d(
-                cur,
-                blk["gamma"],
-                blk["beta"],
-                blk["running_mean"],
-                blk["running_var"],
-                training=training,
-                lengths=cur_lengths,
+                ops.relu(cur), p[f"bn{i}.gamma"], p[f"bn{i}.beta"],
+                self.buffers[f"bn{i}.running_mean"], self.buffers[f"bn{i}.running_var"],
+                training=training, lengths=cur_lengths,
             )
-            if blk["dropout"] > 0.0:
-                cur = ops.dropout(cur, blk["dropout"], self._dropout_rng, training)
+            if rate > 0.0:
+                cur = ops.dropout(cur, rate, self._dropout_rng, training)
 
         cur = ops.masked_global_avg_pool(cur, cur_lengths)
         if self.config.dense_dropout > 0.0:
             cur = ops.dropout(
                 cur, self.config.dense_dropout, self._dropout_rng, training
             )
-        return ops.dense(cur, self._dense_w, self._dense_b)
+        return ops.dense(cur, p["dense.weight"], p["dense.bias"])
 
     def predict(self, x: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarray:
         """Eval-mode class predictions, shape (batch,)."""
@@ -248,13 +227,11 @@ class PianistConvNet:
             current[...] = incoming
 
 
-def save_checkpoint(
-    path, model: PianistConvNet, extras: dict | None = None
-) -> None:
+def save_checkpoint(path, model: PianistConvNet, extras: dict | None = None) -> None:
     """Write a single-line JSON header plus little-endian float32 payload.
 
-    The payload concatenates every parameter and batch-norm buffer in
-    declaration order; the header records names and shapes so the file is
+    The payload concatenates every parameter and batch-norm buffer in the
+    model's registry order; the header records names and shapes so the file is
     self-describing, and the payload's sha256 so corruption is detected.
     """
     arrays = model.named_arrays()
@@ -293,33 +270,29 @@ def load_checkpoint(path) -> tuple[PianistConvNet, dict]:
         raise CorruptCheckpoint(f"unreadable checkpoint header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != "perfid-checkpoint":
         raise CorruptCheckpoint("not a checkpoint file")
+    if header.get("version") != 1:
+        raise CorruptCheckpoint(f"unsupported checkpoint version {header.get('version')!r}")
     if header.get("payload_sha256") != hashlib.sha256(payload).hexdigest():
         raise CorruptCheckpoint("payload digest does not match the header")
 
     try:
         config = ModelConfig.from_json(header["config"])
-        seed = int(header.get("seed", 0))
-        declared = [(d["name"], tuple(map(int, d["shape"]))) for d in header.get("arrays", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+        seed = header["seed"]
+        if type(seed) is not int or seed < 0:
+            raise TypeError(f"seed {seed!r} is not a non-negative integer")
+        declared = [(d["name"], tuple(map(int, d["shape"]))) for d in header["arrays"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptCheckpoint(f"invalid checkpoint header: {exc!r}") from exc
+    # sized from the header alone: a forged config must not allocate its weights
+    if len(payload) != 4 * (param_count(config) + 2 * sum(config.channels)):
+        raise CorruptCheckpoint("payload size does not match the declared architecture")
     model = PianistConvNet(config, seed=seed)
-    expected = model.named_arrays()
-    if [name for name, _ in declared] != [n for n, _ in expected]:
+    if declared != [(name, a.shape) for name, a in model.named_arrays()]:
         raise CorruptCheckpoint("array list does not match the architecture")
 
-    arrays = {}
-    offset = 0
     flat = np.frombuffer(payload, dtype="<f4")
-    for (_, shape), (name, current) in zip(declared, expected):
-        if shape != current.shape:
-            raise CorruptCheckpoint(f"declared shape mismatch for {name!r}")
-        n = int(np.prod(shape)) if shape else 1
-        if offset + n > flat.size:
-            raise CorruptCheckpoint("payload shorter than the header declares")
-        arrays[name] = flat[offset : offset + n].reshape(shape)
-        offset += n
-    if offset != flat.size:
-        raise CorruptCheckpoint("payload longer than the header declares")
-
-    model.load_arrays(arrays)
+    offset = 0
+    for _, current in model.named_arrays():
+        current[...] = flat[offset : offset + current.size].reshape(current.shape)
+        offset += current.size
     return model, header

@@ -10,7 +10,7 @@ import numpy as np
 from perfid import align as aligner
 from perfid import midi_io
 from perfid.midi_io import Note, NoteList
-from perfid.neural import Tensor
+from perfid.neural import Tensor, ops
 
 
 def tree_hashes(root: Path) -> dict:
@@ -208,6 +208,26 @@ def adam_step_expression(params, state):
             p.data.dtype, copy=False
         )
     return params
+
+
+def forward_on_tape(model, x, lengths=None):
+    """Reference for eval-mode ``PianistConvNet.forward``: the same ops in
+    the same order, run on the model's own parameter Tensors, so every op
+    records its backward closure as a training pass would.
+    """
+    p, buffers = model.params, model.buffers
+    cur = Tensor(np.asarray(x, dtype=model.dtype))
+    if lengths is not None:
+        lengths = np.asarray(lengths, dtype=np.int64)
+    for i, stride in enumerate(model.config.strides):
+        cur = ops.conv1d(cur, p[f"conv{i}.weight"], p[f"conv{i}.bias"], stride=stride)
+        if lengths is not None:
+            lengths = (lengths + stride - 1) // stride
+        cur = ops.batchnorm1d(ops.relu(cur), p[f"bn{i}.gamma"], p[f"bn{i}.beta"],
+                              buffers[f"bn{i}.running_mean"], buffers[f"bn{i}.running_var"],
+                              training=False, lengths=lengths)
+    cur = ops.masked_global_avg_pool(cur, lengths)
+    return ops.dense(cur, p["dense.weight"], p["dense.bias"])  # eval dropout is the identity
 
 
 def consensus_time_map_loop(score_on, perf_on):

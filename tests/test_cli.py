@@ -13,6 +13,7 @@ import struct
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import tree_hashes
@@ -20,6 +21,7 @@ from perfid import dataset, features
 from perfid.cli import main
 from perfid.experiment import pipeline, studies
 from perfid.neural import desk_config, load_checkpoint
+from perfid.neural import model as model_module
 
 SMALL = [
     "--pianists", "2", "--pieces", "2", "--per-cell", "3",
@@ -718,6 +720,121 @@ def test_eval_bad_header_field_is_pipeline_error(edit, message, corpus, trained,
     ]
     assert main(argv) == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "ev" / "metrics.json").exists()
+
+
+def write_checkpoint(path: Path, header: dict, payload: bytes) -> Path:
+    """A checkpoint file whose payload digest is recomputed, unless removed."""
+    if "payload_sha256" in header:
+        header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    return path
+
+
+def test_eval_forged_architecture_builds_no_model(corpus, trained, tmp_path, capsys, monkeypatch):
+    """A header declaring a 20000-channel network over a desk payload is refused
+    from its sizes alone: no model (and no 15 GiB of weights) is ever built."""
+    line, payload = (trained / "checkpoint.bin").read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    header["config"].update(channels=[20000, 20000], strides=[1, 2], conv_dropout=[0.0, 0.0])
+    ckpt = write_checkpoint(tmp_path / "forged.bin", header, payload)
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("load_checkpoint built a model")
+
+    monkeypatch.setattr(model_module, "PianistConvNet", no_model)
+    argv = ["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+            "--out", str(tmp_path / "ev"), "--level", "piece"]
+    assert main(argv) == 1
+    assert "error: CorruptCheckpoint: payload size" in capsys.readouterr().err
+
+
+CONFIG_FIELDS = ("in_features", "n_classes", "channels", "kernel_size", "strides",
+                 "conv_dropout", "dense_dropout")
+SIZE_FIELDS = ("in_features", "n_classes", "channels", "kernel_size")
+WRONG_TYPES = ("x", "7", None, {}, [[1]], 13.5, True, float("inf"))
+TOP_KEYS = ("format", "version", "config", "seed", "arrays", "extras", "payload_sha256")
+
+
+def bad_value(rng, value, kind):
+    """A wrong-typed, zero-or-negative or huge stand-in for a config value."""
+    if kind == "type":
+        return WRONG_TYPES[rng.integers(len(WRONG_TYPES))]
+    if isinstance(value, list):  # one bad entry in a per-block list
+        value = list(value)
+        value[rng.integers(len(value))] = bad_value(rng, value[0], kind)
+        return value
+    if kind == "sign":
+        return -0.5 if isinstance(value, float) else int(rng.integers(-3, 1))
+    return 10 ** int(rng.integers(6, 12)) + 1  # odd, so a huge kernel passes validation
+
+
+def edit_config(field, kind):
+    def mutate(header, payload, rng):
+        header["config"][field] = bad_value(rng, header["config"][field], kind)
+        return header, payload
+    return mutate
+
+
+def drop_key(key, config=False):
+    def mutate(header, payload, rng):
+        del (header["config"] if config else header)[key]
+        return header, payload
+    return mutate
+
+
+def edit_arrays(how):
+    def mutate(header, payload, rng):
+        arrays = header["arrays"]
+        i, j = rng.choice(len(arrays), size=2, replace=False)
+        if how == "renamed":
+            arrays[i]["name"] = arrays[j]["name"]
+        elif how == "reordered":
+            arrays[i], arrays[j] = arrays[j], arrays[i]
+        elif how == "reshaped":
+            arrays[i]["shape"] = arrays[i]["shape"][::-1] + [1]
+        elif how == "dropped":
+            del arrays[i]
+        else:
+            header["arrays"] = {a["name"]: a["shape"] for a in arrays}
+        return header, payload
+    return mutate
+
+
+def edit_payload(n_bytes):
+    def mutate(header, payload, rng):
+        k = int(rng.integers(1, 9)) * (4 if n_bytes % 4 == 0 else 1)
+        return header, payload[:-k] if n_bytes < 0 else payload + rng.bytes(k)
+    return mutate
+
+
+FUZZ_CASES = (
+    [(f"config-{f}-{k}", edit_config(f, k)) for k in ("type", "sign") for f in CONFIG_FIELDS]
+    + [(f"config-{f}-huge", edit_config(f, "huge")) for f in SIZE_FIELDS]
+    + [(f"missing-{key}", drop_key(key)) for key in TOP_KEYS]
+    + [(f"missing-config-{f}", drop_key(f, config=True)) for f in CONFIG_FIELDS]
+    + [(f"arrays-{how}", edit_arrays(how))
+       for how in ("renamed", "reordered", "reshaped", "dropped", "not-a-list")]
+    + [(f"payload-{name}", edit_payload(n)) for name, n in
+       (("truncated", -1), ("truncated-floats", -4), ("extended", 1), ("extended-floats", 4))]
+)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_eval_checkpoint_structural_fuzz(seed, corpus, trained, tmp_path, capsys):
+    """Seeded structural mutations of a real desk checkpoint, each driven
+    through ``perfid eval``: every one exits 1 with an ``error:`` line."""
+    line, payload = (trained / "checkpoint.bin").read_bytes().split(b"\n", 1)
+    for k, (name, mutate) in enumerate(FUZZ_CASES):
+        rng = np.random.default_rng([seed, k])
+        header, body = mutate(json.loads(line), payload, rng)
+        ckpt = write_checkpoint(tmp_path / f"{name}.bin", header, body)
+        argv = ["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+                "--out", str(tmp_path / "ev"), "--level", "piece"]
+        assert main(argv) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), (name, err)
+        assert "CorruptCheckpoint" in err or name == "missing-extras", (name, err)
     assert not (tmp_path / "ev" / "metrics.json").exists()
 
 

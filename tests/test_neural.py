@@ -32,7 +32,7 @@ from perfid.neural import (
 from perfid.neural.model import CorruptCheckpoint
 from perfid.neural.optim import SLICE, DtypeMismatch
 
-from helpers import adam_step_expression, check_gradients, leaf, weighted_sum
+from helpers import adam_step_expression, check_gradients, forward_on_tape, leaf, weighted_sum
 
 
 def test_conv1d_gradients():
@@ -369,6 +369,24 @@ def test_padded_batch_matches_unpadded_samples():
     for row, sample in enumerate(samples):
         alone = model.forward(sample[None], training=False).data
         assert padded[row] == pytest.approx(alone[0], abs=1e-10)
+
+
+@pytest.mark.parametrize("config", [desk_config(), ModelConfig()], ids=["desk", "full"])
+def test_eval_forward_records_no_graph_and_matches_the_tape(config):
+    model = PianistConvNet(config, seed=4)
+    rng = np.random.default_rng(22)
+    for buf in model.buffers.values():  # make eval-mode batch norm non-trivial
+        buf[...] = rng.uniform(0.5, 1.5, size=buf.shape)
+    x = rng.standard_normal((3, 13, 70)).astype(np.float32)
+    for lengths in (None, np.array([70, 41, 17])):
+        logits = model.forward(x, lengths=lengths)
+        assert not logits.requires_grad
+        assert logits._parents == () and logits._backward_fn is None
+        taped = forward_on_tape(model, x, lengths)
+        assert taped._backward_fn is not None
+        assert logits.data.dtype == taped.data.dtype
+        assert logits.data.tobytes() == taped.data.tobytes()
+    assert all(t.grad is None and t.requires_grad for t in model.parameters())
 
 
 def test_model_init_is_seed_deterministic():
