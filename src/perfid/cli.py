@@ -253,8 +253,8 @@ def cmd_split(args: argparse.Namespace) -> int:
     out.write_text(dataset.assignment_to_csv(assignment, records))
     inputs = {"registry": _sha256_file(registry)}
     _write_manifest(out, "split", _settings(args), [args.seed], inputs, [out])
-    stats = dataset.split_stats(assignment, records)
-    print(json.dumps(stats["splits"], sort_keys=True))
+    splits = list(assignment.assignment.values())
+    print(json.dumps({s: splits.count(s) for s in dataset.SPLITS}, sort_keys=True))
     return 0
 
 
@@ -301,7 +301,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     extras = header.get("extras", {})
     try:
         stats = features.NormStats.from_json(extras["normalizer"])
-        class_names = list(extras["class_names"])
+        class_names = extras["class_names"]
+        if not (isinstance(class_names, list) and all(isinstance(n, str) for n in class_names)
+                and len(set(class_names)) == len(class_names) == model.config.n_classes):
+            raise TypeError(f"class_names is not {model.config.n_classes} distinct names")
         combo_cols = tuple(extras["schema"])
         segment_length = extras.get("segment_length")
         if segment_length is not None and (type(segment_length) is not int or segment_length < 2):
@@ -520,10 +523,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (
         pipeline.ExtractionFailed,
-        training.EmptySplit,
         training.DivergedLoss,
-        training.SchemaMismatch,
-        features.EmptyTrainingSet,
         OSError,
         ValueError,
         KeyError,

@@ -42,8 +42,9 @@ class InvalidStyleConfig(ValueError):
 
 
 class MalformedRegistry(ValueError):
-    """Not a list of records with string fields, a repeated record id, or a
-    record whose MIDI path leaves its corpus directory."""
+    """Not UTF-8 JSON holding a list of records with string fields, a repeated
+    record id, or a record whose MIDI path is empty, holds a NUL byte or
+    leaves its corpus directory."""
 
 
 class MalformedSplitCsv(ValueError):
@@ -112,24 +113,6 @@ def split(records: list[PerformanceRecord], seed: int) -> SplitAssignment:
     return SplitAssignment(assignment=assignment)
 
 
-def split_stats(assignment: SplitAssignment, records: list[PerformanceRecord]) -> dict:
-    """Per-pianist and per-split counts; all row/column sums add up."""
-    pianists: dict[str, dict[str, int]] = {}
-    totals = {s: 0 for s in SPLITS}
-    for rec in records:
-        s = assignment[rec.id]
-        row = pianists.setdefault(rec.pianist, {k: 0 for k in SPLITS})
-        row[s] += 1
-        totals[s] += 1
-    return {
-        "pianists": {
-            p: {**row, "Total": sum(row.values())} for p, row in sorted(pianists.items())
-        },
-        "splits": totals,
-        "total": len(records),
-    }
-
-
 def assignment_to_csv(assignment: SplitAssignment, records: list[PerformanceRecord]) -> str:
     lines = ["id,pianist,composition,split"]
     for rec in sorted(records, key=lambda r: r.id):
@@ -165,7 +148,10 @@ def save_registry(records: list[PerformanceRecord], path: str | Path,
 
 
 def load_registry(path: str | Path) -> list[PerformanceRecord]:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise MalformedRegistry(f"{path}: unreadable JSON: {exc}") from exc
     rows = doc.get("records") if isinstance(doc, dict) else None
     if not isinstance(rows, list):
         raise MalformedRegistry(f"{path}: want an object with a 'records' list")

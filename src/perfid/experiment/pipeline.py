@@ -13,7 +13,7 @@ from pathlib import Path
 from .. import features
 from ..align import align, filter_matched
 from ..dataset import MalformedRegistry, PerformanceRecord, SplitAssignment, load_registry
-from ..midi_io import parse_midi
+from ..midi_io import NoteList, parse_midi
 
 
 class ExtractionFailed(RuntimeError):
@@ -31,32 +31,34 @@ def load_corpus(root: str | Path) -> list[PerformanceRecord]:
     base = Path(root).resolve()
     for record in records:
         for rel in (record.perf_midi, record.score_midi):
+            if not rel or "\0" in rel:
+                raise MalformedRegistry(f"{record.id}: {rel!r} is not a file path")
             if not (base / rel).resolve().is_relative_to(base):
                 raise MalformedRegistry(f"{record.id}: {rel} lies outside the corpus {root}")
     return records
 
 
 def extract_performance(
-    record: PerformanceRecord, root: str | Path
+    record: PerformanceRecord, root: str | Path, score: NoteList
 ) -> features.FeatureMatrix:
-    """Parse, align and featurize one performance against its score."""
-    root = Path(root)
-    perf = parse_midi((root / record.perf_midi).read_bytes())
-    score = parse_midi((root / record.score_midi).read_bytes())
+    """Parse one performance, align it to its parsed score and featurize it."""
+    perf = parse_midi((Path(root) / record.perf_midi).read_bytes())
     matched = filter_matched(align(perf, score), perf, score)
-    return features.assemble(
-        perf, score, matched, "C5", label=record.pianist, piece_id=record.id
-    )
+    return features.assemble(perf, score, matched, label=record.pianist, piece_id=record.id)
 
 
 def extract_corpus(
     records: list[PerformanceRecord], root: str | Path
 ) -> dict[str, features.FeatureMatrix]:
-    """Full 13-column matrices for every record, keyed by record id."""
+    """Full 13-column matrices for every record, keyed by record id; parses each score once."""
+    root = Path(root)
+    scores: dict[str, NoteList] = {}
     out: dict[str, features.FeatureMatrix] = {}
     for record in records:
         try:
-            out[record.id] = extract_performance(record, root)
+            if record.score_midi not in scores:
+                scores[record.score_midi] = parse_midi((root / record.score_midi).read_bytes())
+            out[record.id] = extract_performance(record, root, scores[record.score_midi])
         except (ValueError, KeyError, OSError) as exc:
             raise ExtractionFailed(record.id, exc) from exc
     return out

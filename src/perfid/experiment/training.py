@@ -328,9 +328,9 @@ def predictions_to_csv(predictions: list[tuple[str, int, int, int]]) -> str:
     return buf.getvalue()
 
 
-def format_mean_std(mean: float, std: float, decimals: int = 3) -> str:
+def format_mean_std(mean: float, std: float) -> str:
     """Render the conventional report cell, e.g. ``0.766 (0.024)``."""
-    return f"{mean:.{decimals}f} ({std:.{decimals}f})"
+    return f"{mean:.3f} ({std:.3f})"
 
 
 def score_test(

@@ -167,11 +167,6 @@ def _deviation_columns(perf: np.ndarray, score: np.ndarray) -> np.ndarray:
     ])
 
 
-def note_features(pairs: list[tuple[Note, Note]]) -> np.ndarray:
-    """The 7 note-wise columns over the performance side of the pairs."""
-    return _note_columns(_pair_rows(pairs)[0])
-
-
 def deviation_features(pairs: list[tuple[Note, Note]]) -> np.ndarray:
     """The 6 deviation columns (performance minus time-mapped score)."""
     return _deviation_columns(*_pair_rows(pairs))
@@ -187,21 +182,15 @@ def resolve_schema(combo: str | FeatureSchema) -> FeatureSchema:
 
 
 def assemble(perf: NoteList, score: NoteList, matched: tuple[np.ndarray, np.ndarray],
-             combo: str | FeatureSchema, label: str = "", piece_id: str = "") -> FeatureMatrix:
-    """Feature matrix for one performance under the given combination.
+             label: str = "", piece_id: str = "") -> FeatureMatrix:
+    """All 13 columns (C5) for one performance; ``subset`` projects other combinations.
 
     ``matched`` holds the performance and score indices of the matched
     notes, in performance onset order (``align.filter_matched``).
     """
-    schema = resolve_schema(combo)
     perf_rows, score_rows = _gather(perf, matched[0]), _gather(score, matched[1])
-    blocks = {}
-    if any(c in NOTE_COLUMNS for c in schema.columns):
-        blocks.update(zip(NOTE_COLUMNS, _note_columns(perf_rows).T))
-    if any(c in DEV_COLUMNS for c in schema.columns):
-        blocks.update(zip(DEV_COLUMNS, _deviation_columns(perf_rows, score_rows).T))
-    rows = np.column_stack([blocks[c] for c in schema.columns])
-    return FeatureMatrix(schema=schema, rows=rows, label=label, piece_id=piece_id)
+    rows = np.column_stack([_note_columns(perf_rows), _deviation_columns(perf_rows, score_rows)])
+    return FeatureMatrix(FeatureSchema(ALL_COLUMNS), rows, label=label, piece_id=piece_id)
 
 
 def subset(matrix: FeatureMatrix, combo: str | FeatureSchema) -> FeatureMatrix:

@@ -266,7 +266,7 @@ def load_checkpoint(path) -> tuple[PianistConvNet, dict]:
         payload = fh.read()
     try:
         header = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CorruptCheckpoint(f"unreadable checkpoint header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != "perfid-checkpoint":
         raise CorruptCheckpoint("not a checkpoint file")

@@ -11,6 +11,9 @@ temporary through memory; a slice stays in cache. Every operation is
 elementwise and each slice runs the same ufuncs, in the same order and
 with the same scalars, so the result is bit-identical to the whole-array
 form.
+
+``BETA1``, ``BETA2`` and ``EPS`` are Adam's standard constants; the learning
+rate and weight decay come from the caller (``TrainConfig`` holds their defaults).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .ops import ShapeMismatch
 from .tensor import Tensor
 
 SLICE = 32768
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class DtypeMismatch(TypeError):
@@ -32,28 +36,13 @@ class DtypeMismatch(TypeError):
 class AdamState:
     """First/second moment buffers plus hyperparameters for one model."""
 
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float = 8e-5,
-        weight_decay: float = 1e-7,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: list[Tensor], lr: float, weight_decay: float):
         if not (lr > 0 and math.isfinite(lr)):
             raise ValueError("learning rate must be positive and finite")
         if not (weight_decay >= 0 and math.isfinite(weight_decay)):
             raise ValueError("weight decay must be non-negative and finite")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if not (eps > 0 and math.isfinite(eps)):
-            raise ValueError("eps must be positive and finite")
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
@@ -87,8 +76,8 @@ def adam_step(params: list[Tensor], state: AdamState) -> list[Tensor]:
 
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     scratch: dict[np.dtype, np.ndarray] = {}
 
     for p, m, v in zip(params, state.m, state.v):
@@ -106,15 +95,15 @@ def adam_step(params: list[Tensor], state: AdamState) -> list[Tensor]:
             if state.weight_decay > 0.0:
                 np.multiply(state.weight_decay, d, out=a)
                 g = np.add(g, a, out=a)
-            ms *= state.beta1
-            ms += np.multiply(1.0 - state.beta1, g, out=b)
-            vs *= state.beta2
+            ms *= BETA1
+            ms += np.multiply(1.0 - BETA1, g, out=b)
+            vs *= BETA2
             np.multiply(g, g, out=b)
-            vs += np.multiply(1.0 - state.beta2, b, out=b)
+            vs += np.multiply(1.0 - BETA2, b, out=b)
             np.divide(vs, bc2, out=b)  # v_hat
             np.divide(ms, bc1, out=a)  # m_hat
             np.multiply(state.lr, a, out=a)
             np.sqrt(b, out=b)
-            np.add(b, state.eps, out=b)
+            np.add(b, EPS, out=b)
             d -= np.divide(a, b, out=a)
     return params

@@ -11,6 +11,7 @@ from perfid import align as aligner
 from perfid import midi_io
 from perfid.midi_io import Note, NoteList
 from perfid.neural import Tensor, ops
+from perfid.neural.optim import BETA1, BETA2, EPS
 
 
 def tree_hashes(root: Path) -> dict:
@@ -190,21 +191,21 @@ def adam_step_expression(params, state):
     """
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for p, m, v in zip(params, state.m, state.v):
         g = p.grad
         if g is None:
             continue
         if state.weight_decay > 0.0:
             g = g + state.weight_decay * p.data
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        p.data -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(
+        p.data -= (state.lr * m_hat / (np.sqrt(v_hat) + EPS)).astype(
             p.data.dtype, copy=False
         )
     return params

@@ -448,9 +448,9 @@ def test_train_sizes_the_model_to_the_pianists_of_the_split(tmp_path, monkeypatc
     extracted = []
     real_extract = pipeline.extract_performance
 
-    def counting_extract(record, root):
+    def counting_extract(record, root, score):
         extracted.append(record.id)
-        return real_extract(record, root)
+        return real_extract(record, root, score)
 
     monkeypatch.setattr(pipeline, "extract_performance", counting_extract)
     out = tmp_path / "run"
@@ -697,6 +697,12 @@ def set_segment_length(value):
     return edit
 
 
+def set_class_names(edit_names):
+    def edit(header):
+        header["extras"]["class_names"] = edit_names(header["extras"]["class_names"])
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (set_config, "error: CorruptCheckpoint: "),
     (set_test_split, "error: checkpoint lacks usable evaluation metadata: "),
@@ -704,8 +710,15 @@ def set_segment_length(value):
     (set_segment_length("x"), "error: checkpoint lacks usable evaluation metadata: "),
     (set_segment_length(1), "error: checkpoint lacks usable evaluation metadata: "),
     (set_segment_length(True), "error: checkpoint lacks usable evaluation metadata: "),
+    (set_class_names(lambda names: names + ["ghost"]),
+     "error: checkpoint lacks usable evaluation metadata: "),
+    (set_class_names(lambda names: [[n] for n in names]),
+     "error: checkpoint lacks usable evaluation metadata: "),
+    (set_class_names(lambda names: [names[0]] * len(names)),
+     "error: checkpoint lacks usable evaluation metadata: "),
 ], ids=["config-is-5", "test-split-is-3", "array-shape-is-a", "segment-length-is-x",
-        "segment-length-is-1", "segment-length-is-true"])
+        "segment-length-is-1", "segment-length-is-true", "class-names-with-a-ghost",
+        "class-names-as-lists", "class-names-repeated"])
 def test_eval_bad_header_field_is_pipeline_error(edit, message, corpus, trained, tmp_path,
                                                  capsys):
     """A header edited behind a still-valid payload digest exits 1, not a traceback."""
@@ -721,6 +734,25 @@ def test_eval_bad_header_field_is_pipeline_error(edit, message, corpus, trained,
     assert main(argv) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "ev" / "metrics.json").exists()
+
+
+def test_deeply_nested_json_is_a_typed_error(corpus, trained, tmp_path, capsys):
+    """A 100,000-deep JSON array as the registry or as the checkpoint header
+    exits 1 with a typed error, not a RecursionError traceback."""
+    deep = b"[" * 100_000
+    root = tmp_path / "c"
+    shutil.copytree(corpus, root)
+    (root / "registry.json").write_bytes(deep)
+    assert main(["extract", "--corpus", str(root), "--out", str(tmp_path / "f")]) == 1
+    assert "error: MalformedRegistry: " in capsys.readouterr().err
+
+    payload = (trained / "checkpoint.bin").read_bytes().split(b"\n", 1)[1]
+    ckpt = tmp_path / "deep.bin"
+    ckpt.write_bytes(deep + b"\n" + payload)
+    argv = ["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+            "--out", str(tmp_path / "ev"), "--level", "piece"]
+    assert main(argv) == 1
+    assert "error: CorruptCheckpoint: unreadable checkpoint header" in capsys.readouterr().err
 
 
 def write_checkpoint(path: Path, header: dict, payload: bytes) -> Path:
@@ -836,6 +868,101 @@ def test_eval_checkpoint_structural_fuzz(seed, corpus, trained, tmp_path, capsys
         assert err.startswith("error: "), (name, err)
         assert "CorruptCheckpoint" in err or name == "missing-extras", (name, err)
     assert not (tmp_path / "ev" / "metrics.json").exists()
+
+
+RECORD_FIELDS = ("id", "pianist", "composition", "perf_midi", "score_midi")
+PATH_FIELDS = ("perf_midi", "score_midi")
+
+
+def registry_edit(edit):
+    """A mutation of the registry's parsed JSON, re-encoded."""
+    def mutate(text, rng):
+        doc = json.loads(text)
+        edit(doc, doc["records"][rng.integers(len(doc["records"]))], rng)
+        return json.dumps(doc).encode()
+    return mutate
+
+
+def set_field(field, value):
+    def edit(doc, record, rng):
+        record[field] = value(rng, record[field]) if callable(value) else value
+    return edit
+
+
+def with_nul(rng, path):
+    k = int(rng.integers(len(path) + 1))
+    return path[:k] + "\0" + path[k:]
+
+
+def wrong_type(rng, value):
+    choices = [v for v in WRONG_TYPES if not isinstance(v, str)]
+    return choices[rng.integers(len(choices))]
+
+
+def insert_byte(byte):
+    def mutate(text, rng):
+        data = text.encode()
+        k = int(rng.integers(len(data) + 1))
+        return data[:k] + byte + data[k:]
+    return mutate
+
+
+def csv_rows(edit):
+    """A mutation of one data row of the split CSV (line 1 is the header)."""
+    def mutate(text, rng):
+        rows = text.splitlines()
+        k = int(rng.integers(1, len(rows)))
+        rows[k] = edit(rows[k], rows, rng)
+        return ("\n".join(rows) + "\n").encode()
+    return mutate
+
+
+REGISTRY_CASES = (
+    [("nested-100000-deep", lambda text, rng: b"[" * 100_000),
+     ("truncated", lambda text, rng: text.encode()[:int(rng.integers(len(text)))]),
+     ("non-utf8-byte", insert_byte(b"\xff")),
+     ("records-not-a-list", registry_edit(lambda doc, record, rng: doc.update(records={})))]
+    + [(f"{f}-nul-byte", registry_edit(set_field(f, with_nul))) for f in PATH_FIELDS]
+    + [(f"{f}-empty", registry_edit(set_field(f, ""))) for f in PATH_FIELDS]
+    + [(f"{f}-wrong-type", registry_edit(set_field(f, wrong_type))) for f in RECORD_FIELDS]
+)
+SPLIT_CSV_CASES = [
+    ("row-missing-a-field", csv_rows(lambda row, rows, rng: row.rsplit(",", 1)[0])),
+    ("row-with-an-extra-field", csv_rows(lambda row, rows, rng: row + ",Train")),
+    ("row-empty-fields", csv_rows(lambda row, rows, rng: ",,,")),
+    ("unknown-split", csv_rows(lambda row, rows, rng: row.rsplit(",", 1)[0] + ",Dev")),
+    ("repeated-row", csv_rows(lambda row, rows, rng: rows[2] if row == rows[1] else rows[1])),
+    ("bad-header", lambda text, rng: text.replace("split", "fold", 1).encode()),
+    ("non-utf8-byte", insert_byte(b"\xfe")),
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_train_registry_and_split_csv_structural_fuzz(seed, corpus, tmp_path, capsys):
+    """Seeded structural mutations of ``registry.json`` and of the split CSV,
+    each driven through ``perfid train``: every one exits 1 or 2 with an
+    ``error:`` or ``usage error:`` line, never a traceback."""
+    registry = (corpus / "registry.json").read_text()
+    split_csv = tmp_path / "split.csv"
+    assert main(["split", "--registry", str(corpus / "registry.json"),
+                 "--out", str(split_csv)]) == 0
+    split_text = split_csv.read_text()
+    root = tmp_path / "c"
+    shutil.copytree(corpus, root)
+    cases = [(f"registry-{name}", mutate, root / "registry.json", registry, [])
+             for name, mutate in REGISTRY_CASES]
+    cases += [(f"split-csv-{name}", mutate, split_csv, split_text,
+               ["--split-csv", str(split_csv)]) for name, mutate in SPLIT_CSV_CASES]
+    for k, (name, mutate, target, text, flags) in enumerate(cases):
+        (root / "registry.json").write_text(registry)
+        target.write_bytes(mutate(text, np.random.default_rng([seed, k])))
+        argv = ["train", "--corpus", str(root), "--out", str(tmp_path / "run"),
+                "--epochs", "1", "--length", "20"] + flags
+        assert main(argv) in (1, 2), name
+        err = capsys.readouterr().err
+        assert err.startswith(("error: ", "usage error: ")), (name, err)
+        assert "Traceback" not in err, name
+    assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
 
 # ---------------------------------------------------------------------------

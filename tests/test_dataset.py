@@ -24,7 +24,6 @@ from perfid.dataset import (
     render_performance,
     save_registry,
     split,
-    split_stats,
     synth_generate,
 )
 from perfid.midi_io import parse_midi
@@ -110,16 +109,6 @@ def test_split_deterministic_per_seed():
     assert split(records, seed=9).assignment == split(records, seed=9).assignment
     # with six coin-flip groups two seeds agreeing everywhere is ~impossible
     assert split(records, seed=9).assignment != split(records, seed=10).assignment
-
-
-def test_split_stats_sums():
-    records = make_records([3, 3, 10])
-    result = split(records, seed=1)
-    stats = split_stats(result, records)
-    assert stats["total"] == len(records)
-    assert sum(stats["splits"].values()) == len(records)
-    for row in stats["pianists"].values():
-        assert row["Total"] == row["Train"] + row["Valid"] + row["Test"]
 
 
 def test_assignment_csv_round_trip():

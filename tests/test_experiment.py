@@ -11,6 +11,7 @@ import pytest
 from perfid import features, midi_io
 from perfid.dataset import SplitAssignment, default_styles, synth_generate
 from perfid.experiment.metrics import compute_metrics, confusion_matrix, from_confusion
+from perfid.experiment import pipeline
 from perfid.experiment.pipeline import (
     ExtractionFailed,
     SplitSets,
@@ -105,7 +106,6 @@ MEAN_STD_CELL = re.compile(r"^\d+\.\d{3} \(\d+\.\d{3}\)$")
 def test_mean_std_cells():
     assert format_mean_std(0.7662, 0.0244) == "0.766 (0.024)"
     assert format_mean_std(0.5, 0.01) == "0.500 (0.010)"
-    assert format_mean_std(0.5, 0.01, decimals=1) == "0.5 (0.0)"
     assert MEAN_STD_CELL.match(format_mean_std(12.0, 0.0))
 
 
@@ -324,8 +324,28 @@ def test_extraction_builds_no_note_objects(tmp_path, monkeypatch):
         raise AssertionError("the extract path built a per-note Note")
 
     monkeypatch.setattr(midi_io, "Note", no_notes)
-    for record in records:
-        assert extract_performance(record, tmp_path).n_notes > 0
+    assert all(m.n_notes > 0 for m in extract_corpus(records, tmp_path).values())
+
+
+def test_extract_corpus_parses_each_score_once(tmp_path, monkeypatch):
+    records = corpus_on_disk(tmp_path)  # 2 pieces x 2 pianists x 2 takes
+    # the per-record form: every take parses its own copy of the score
+    want = {
+        r.id: extract_performance(
+            r, tmp_path, midi_io.parse_midi((tmp_path / r.score_midi).read_bytes())
+        ).rows.tobytes()
+        for r in records
+    }
+    parsed = []
+
+    def counting_parse(data):
+        parsed.append(data)
+        return midi_io.parse_midi(data)
+
+    monkeypatch.setattr(pipeline, "parse_midi", counting_parse)
+    got = extract_corpus(records, tmp_path)
+    assert len(parsed) == len(records) + 2
+    assert {rec_id: m.rows.tobytes() for rec_id, m in got.items()} == want
 
 
 def test_extraction_failure_names_the_record(tmp_path):

@@ -20,7 +20,6 @@ from perfid.features import (
     deviation_features,
     fit_normalizer,
     load_features,
-    note_features,
     save_features,
     segment,
     subset,
@@ -47,9 +46,20 @@ def identity_match(n=10, step=0.4):
     return matched(x, x)
 
 
+def projected(match, combo, **labels):
+    """``assemble``'s 13-column matrix projected onto one combination."""
+    return subset(assemble(*match, **labels), combo)
+
+
+def note_columns(notes):
+    """The 7 note-wise (C1) columns of notes matched to themselves."""
+    x = from_notes(notes)
+    return projected(matched(x, x), "C1").rows
+
+
 def test_note_feature_columns():
     perf = [Note(60, 0.0, 0.4, 64), Note(62, 0.5, 0.9, 70)]
-    rows = note_features([(p, p) for p in perf])
+    rows = note_columns(perf)
     assert rows.shape == (2, 7)
     pitch, velocity, onset, offset, duration, ioi, otd = rows.T
     assert list(pitch) == [60, 62]
@@ -61,20 +71,20 @@ def test_note_feature_columns():
 
 def test_otd_negative_for_legato():
     perf = [Note(60, 0.0, 0.6, 64), Note(62, 0.5, 0.9, 64)]
-    rows = note_features([(p, p) for p in perf])
+    rows = note_columns(perf)
     otd = rows[:, 6]
     assert otd[0] == pytest.approx(-0.1)
 
 
 def test_ioi_three_notes():
     perf = [Note(60, 0.0, 0.1, 64), Note(62, 0.5, 0.6, 64), Note(64, 1.25, 1.3, 64)]
-    rows = note_features([(p, p) for p in perf])
+    rows = note_columns(perf)
     assert rows[:, 5] == pytest.approx([0.5, 0.75, 0.0])
 
 
 def test_too_few_notes():
     with pytest.raises(TooFewNotes):
-        note_features([(Note(60, 0.0, 0.4, 64), Note(60, 0.0, 0.4, 64))])
+        note_columns([Note(60, 0.0, 0.4, 64)])
     with pytest.raises(TooFewNotes):
         deviation_features([])
 
@@ -115,9 +125,10 @@ def test_degenerate_fit_rejected():
 
 
 def test_combo_column_counts():
+    assert assemble(*identity_match()).schema.columns == ALL_COLUMNS
     expected = {"C1": 7, "C2": 6, "C3": 6, "C4": 3, "C5": 13}
     for combo, count in expected.items():
-        matrix = assemble(*identity_match(), combo)
+        matrix = projected(identity_match(), combo)
         assert len(matrix.schema) == count, combo
         assert matrix.rows.shape == (10, count)
 
@@ -132,12 +143,12 @@ def test_combo_contents():
 
 def test_unknown_combination():
     with pytest.raises(UnknownCombination):
-        assemble(*identity_match(), "C9")
+        projected(identity_match(), "C9")
 
 
 def test_custom_schema():
     schema = FeatureSchema(("velocity", "dev_ioi"))
-    matrix = assemble(*identity_match(), schema)
+    matrix = projected(identity_match(), schema)
     assert matrix.schema.columns == ("velocity", "dev_ioi")
     assert matrix.rows.shape[1] == 2
 
@@ -158,7 +169,7 @@ def test_shift_invariance():
         Note(s.pitch, s.onset + rng.uniform(-0.02, 0.02), s.offset, s.velocity)
         for s in score.notes
     ]
-    base = assemble(*matched(from_notes(perf_notes), score), "C5")
+    base = assemble(*matched(from_notes(perf_notes), score))
 
     shift = 17.5
     moved_perf = [
@@ -169,7 +180,7 @@ def test_shift_invariance():
         Note(n.pitch, n.onset + shift, n.offset + shift, n.velocity)
         for n in score.notes
     ]
-    moved = assemble(*matched(from_notes(moved_perf), from_notes(moved_score)), "C5")
+    moved = assemble(*matched(from_notes(moved_perf), from_notes(moved_score)))
 
     for column in ALL_COLUMNS:
         k = base.schema.index(column)
@@ -181,22 +192,27 @@ def test_shift_invariance():
 
 
 def test_assemble_equals_the_pair_functions():
-    # assemble gathers rows by index; the (Note, Note)-pair functions
-    # convert their pairs into the same rows, so the columns agree bit for bit
+    # assemble gathers rows by index; the (Note, Note)-pair function and
+    # the note attributes give the same rows, so the columns agree bit for bit
     rng = np.random.default_rng(5)
     score = note_list([(60 + k % 5, 0.35 * k, 50 + k) for k in range(15)])
     perf = note_list([(60 + k % 5, 0.35 * k + rng.uniform(-0.02, 0.02), 60 + k)
                       for k in range(15)])
     perf_idx = np.array([0, 2, 3, 7, 8, 14])
     score_idx = np.array([1, 2, 4, 7, 9, 13])
-    rows = assemble(perf, score, (perf_idx, score_idx), "C5").rows
+    rows = assemble(perf, score, (perf_idx, score_idx)).rows
     pairs = [(perf.notes[i], score.notes[j]) for i, j in zip(perf_idx, score_idx)]
-    want = np.column_stack([note_features(pairs), deviation_features(pairs)])
+    pitch, velocity, onset, offset = np.array(
+        [(p.pitch, p.velocity, p.onset, p.offset) for p, _ in pairs]).T
+    ioi = np.append(onset[1:] - onset[:-1], 0.0)
+    otd = np.append(onset[1:] - offset[:-1], 0.0)
+    want = np.column_stack([pitch, velocity, onset, offset, offset - onset, ioi, otd,
+                            deviation_features(pairs)])
     assert np.array_equal(rows, want)
 
 
 def test_segment_counts():
-    matrix = assemble(*identity_match(25), "C4")
+    matrix = projected(identity_match(25), "C4")
     assert len(segment(matrix, 10)) == 2
     assert len(segment(matrix, 25)) == 1
     assert len(segment(matrix, 26)) == 0
@@ -205,7 +221,7 @@ def test_segment_counts():
 
 
 def test_segment_inherits_labels():
-    matrix = assemble(*identity_match(8), "C4", label="someone", piece_id="op1")
+    matrix = projected(identity_match(8), "C4", label="someone", piece_id="op1")
     parts = segment(matrix, 4)
     assert [p.label for p in parts] == ["someone", "someone"]
     assert [p.piece_id for p in parts] == ["op1", "op1"]
@@ -230,24 +246,23 @@ def test_segment_conserves_rows(n_rows, length):
 
 
 def test_subset_matches_direct_assembly():
-    match = identity_match(12)
-    full = assemble(*match, "C5", label="a", piece_id="b")
+    full = assemble(*identity_match(12), label="a", piece_id="b")
     for combo in ("C1", "C2", "C3", "C4"):
-        direct = assemble(*match, combo)
-        projected = subset(full, combo)
-        assert projected.schema.columns == direct.schema.columns
-        assert np.allclose(projected.rows, direct.rows)
-        assert projected.label == "a" and projected.piece_id == "b"
+        part = subset(full, combo)
+        assert part.schema.columns == COMBINATIONS[combo]
+        for k, column in enumerate(part.schema.columns):
+            assert np.array_equal(part.rows[:, k], full.rows[:, ALL_COLUMNS.index(column)])
+        assert part.label == "a" and part.piece_id == "b"
 
 
 def test_subset_needs_source_columns():
-    narrow = assemble(*identity_match(), "C4")
+    narrow = projected(identity_match(), "C4")
     with pytest.raises(UnknownCombination):
         subset(narrow, "C5")
 
 
 def test_subset_refuses_normalized_input():
-    full = assemble(*identity_match(), "C5")
+    full = assemble(*identity_match())
     stats = fit_normalizer([full])
     with pytest.raises(ValueError):
         subset(apply_normalizer(full, stats), "C4")
@@ -301,8 +316,8 @@ def test_normalizer_empty_rejected():
 
 
 def test_normalizer_schema_mismatch():
-    a = assemble(*identity_match(), "C4")
-    b = assemble(*identity_match(), "C5")
+    a = projected(identity_match(), "C4")
+    b = assemble(*identity_match())
     with pytest.raises(ValueError):
         apply_normalizer(b, fit_normalizer([a]))
 
@@ -318,7 +333,7 @@ def test_matrix_validation():
 
 
 def test_save_load_round_trip(tmp_path):
-    matrix = assemble(*identity_match(30), "C5", label="p3", piece_id="op7")
+    matrix = assemble(*identity_match(30), label="p3", piece_id="op7")
     target = tmp_path / "op7.f32"
     save_features(matrix, target)
     loaded = load_features(target)
@@ -329,7 +344,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_load_rejects_truncated_payload(tmp_path):
-    matrix = assemble(*identity_match(8), "C4")
+    matrix = projected(identity_match(8), "C4")
     target = tmp_path / "x.f32"
     save_features(matrix, target)
     target.write_bytes(target.read_bytes()[:-4])

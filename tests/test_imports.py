@@ -1,8 +1,10 @@
-"""Every module under ``src/perfid`` uses each name it imports.
+"""Every module under ``src/perfid`` uses each name it imports, and every
+module-level function and class has a caller outside the tests.
 
-The project depends on no linter, so this stdlib ``ast`` walk stands in
-for pyflakes' unused-import check. Package ``__init__.py`` files are
-skipped: their imports are the package's API.
+The project depends on no linter, so these stdlib ``ast`` walks stand in
+for pyflakes' unused-import check and for a dead-code scan. Package
+``__init__.py`` files are skipped: their imports are the package's API,
+and a re-export is not a use.
 """
 
 import ast
@@ -14,6 +16,15 @@ import perfid
 
 PACKAGE = Path(perfid.__file__).parent
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+REPO = Path(__file__).resolve().parent.parent
+CALLERS = [*MODULES, *sorted(REPO.glob("scripts/*.py")), *sorted(REPO.glob("perfbench/*.py"))]
+
+# Names only the acceptance tests call, each pinned by the criterion named.
+TEST_ONLY = {
+    "alignment_cost": "criterion 3 checks each alignment's cost against the exhaustive minimum",
+    "deviation_features": "criterion 4 checks the (Note, Note)-pair deviation columns",
+    "desk_train_config": "criteria 7-9 build their training configs with it",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,6 +52,44 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name a module reads, as a bare name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def unused_definitions(defining: dict[str, str], callers: list[str]) -> list[str]:
+    """``module:name`` of each module-level def or class in ``defining``
+    (module name to source) that no source in ``callers`` references."""
+    used = set().union(*(referenced_names(source) for source in callers))
+    return [
+        f"{module}:{node.name}"
+        for module, source in defining.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+    ]
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    defining = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
+    unused = unused_definitions(defining, [p.read_text() for p in CALLERS])
+    assert sorted(name.split(":")[1] for name in unused) == sorted(TEST_ONLY), unused
+
+
+def test_the_dead_name_check_sees_an_uncalled_definition():
+    module = "def used():\n    pass\n\ndef unused():\n    used()\n\nclass Idle:\n    pass\n"
+    caller = "from m import used\nimport m\nm.Idle.x = 1\n"
+    assert unused_definitions({"m.py": module}, [caller]) == ["m.py:unused"]
+    assert unused_definitions({"m.py": module}, [module]) == ["m.py:unused", "m.py:Idle"]
 
 
 def test_the_check_sees_an_unused_import():

@@ -403,19 +403,6 @@ def test_model_init_is_seed_deterministic():
     )
 
 
-def adam_reference(theta, grads, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Scalar re-derivation of the update rule for comparison."""
-    m = v = 0.0
-    for t, g in enumerate(grads, start=1):
-        g = g + wd * theta
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return theta
-
-
 def test_adam_first_step_closed_form():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     state = AdamState([p], lr=0.01, weight_decay=0.0)
@@ -457,7 +444,7 @@ def test_adam_weight_decay_is_coupled():
 
 def test_adam_skips_missing_grads_and_checks_shapes():
     p, q = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
-    state = AdamState([p, q], lr=0.1)
+    state = AdamState([p, q], lr=0.1, weight_decay=1e-7)
     q.grad = np.full(3, 0.5)
     adam_step([p, q], state)
     assert np.array_equal(p.data, np.ones(2))
@@ -466,17 +453,15 @@ def test_adam_skips_missing_grads_and_checks_shapes():
     with pytest.raises(ShapeMismatch):
         adam_step([p, q], state)
     with pytest.raises(ValueError):
-        AdamState([p], lr=0.0)
+        AdamState([p], lr=0.0, weight_decay=0.0)
     with pytest.raises(ValueError):
-        AdamState([p], weight_decay=-1.0)
-    with pytest.raises(ValueError):
-        AdamState([p], beta1=1.0)
+        AdamState([p], lr=0.1, weight_decay=-1.0)
 
 
 def test_adam_uses_accumulated_grads_by_default():
     p = Tensor(np.array([1.0]), requires_grad=True)
     p.grad = np.array([0.5])
-    state = AdamState([p], lr=0.01)
+    state = AdamState([p], lr=0.01, weight_decay=1e-7)
     adam_step([p], state)
     assert p.data[0] == pytest.approx(1.0 - 0.01 * 0.5 / (0.5 + 1e-8))
 
@@ -511,7 +496,7 @@ def test_adam_matches_expression_form_bit_for_bit(dtype, weight_decay):
 
 def test_adam_step_is_atomic_when_a_grad_is_rejected():
     p, q = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
-    state = AdamState([p, q], lr=0.1)
+    state = AdamState([p, q], lr=0.1, weight_decay=1e-7)
     p.grad = np.full(2, 0.5)
     for bad, error in [(np.ones(5), ShapeMismatch), (np.ones(3, np.float32), DtypeMismatch)]:
         q.grad = bad
@@ -530,7 +515,8 @@ def test_adam_step_allocates_no_full_size_temporary():
     n = 4_200_000
     p = Tensor(np.ones(n, dtype=np.float32), requires_grad=True)
     p.grad = np.full(n, 0.25, dtype=np.float32)
-    state = AdamState([p])  # default weight decay > 0: the decayed grad is a temporary too
+    # weight decay > 0: the decayed grad is a temporary too
+    state = AdamState([p], lr=8e-5, weight_decay=1e-7)
     tracemalloc.start()
     try:
         adam_step([p], state)
@@ -544,11 +530,11 @@ def test_adam_step_allocates_no_full_size_temporary():
 @pytest.mark.parametrize("bad", [
     {"lr": float("nan")}, {"lr": float("inf")},
     {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
-    {"eps": 0.0}, {"eps": -1e-8}, {"eps": float("nan")}, {"eps": float("inf")},
 ])
 def test_adam_state_rejects_non_finite_hyperparameters(bad):
     with pytest.raises(ValueError):
-        AdamState([Tensor(np.ones(2), requires_grad=True)], **bad)
+        AdamState([Tensor(np.ones(2), requires_grad=True)],
+                  **{"lr": 0.1, "weight_decay": 0.0, **bad})
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -636,7 +622,7 @@ def test_few_steps_reduce_loss_on_separable_data():
     labels = np.arange(16) % 2
     x[labels == 1] += 2.0
 
-    state = AdamState(model.parameters(), lr=3e-3)
+    state = AdamState(model.parameters(), lr=3e-3, weight_decay=1e-7)
     losses = []
     for _ in range(30):
         model.zero_grad()
