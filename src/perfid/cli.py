@@ -267,8 +267,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.split_csv is None:
         assignment = dataset.split(records, args.split_seed)
     else:
-        text = _existing(args.split_csv, "split CSV").read_text()
-        assignment = dataset.assignment_from_csv(text)
+        path = _existing(args.split_csv, "split CSV")
+        try:
+            assignment = dataset.assignment_from_csv(path.read_text())
+        except UnicodeDecodeError as exc:
+            raise dataset.MalformedSplitCsv(f"{path}: not UTF-8: {exc}") from exc
         del settings["split-seed"]  # the CSV fixes the split
     records = [r for r in records if r.id in assignment.assignment]
     config = _train_config(args)

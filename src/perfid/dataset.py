@@ -162,6 +162,9 @@ def load_registry(path: str | Path) -> list[PerformanceRecord]:
             raise MalformedRegistry(f"{path}: record {k} wants the string fields {sorted(keys)}")
     records = [PerformanceRecord(**r) for r in rows]
     ids = [r.id for r in records]
+    for rec_id in ids:  # an id names the record's feature file
+        if rec_id in ("", "..") or Path(rec_id).name != rec_id:
+            raise MalformedRegistry(f"{path}: record id {rec_id!r} is not a file name")
     if len(set(ids)) != len(ids):
         raise MalformedRegistry("duplicate record ids in registry")
     return records

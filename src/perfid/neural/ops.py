@@ -6,12 +6,18 @@ channels-first ``(batch, channels, length)``. Variable-length batches are
 handled with per-sample lengths: positions at or beyond a sample's length
 are kept at zero by the masked ops, so a padded batch computes exactly
 what the unpadded samples would.
+
+Memory layout is part of the output bytes: ``conv1d`` returns (B, L, C)
+memory order, ``relu`` and ``batchnorm1d`` keep their input's, and
+gradients flow back in C order. Reductions such as ``sum(axis=(0, 2))``
+add in memory order, so another layout would round batch statistics and
+gradients differently. An op mixing the two layouts first copies one
+operand into the other's order, as mixed-layout ufuncs run far slower.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor
 
@@ -50,13 +56,22 @@ def _length_mask(lengths: np.ndarray, batch: int, max_len: int) -> np.ndarray:
     return (np.arange(max_len)[None, :] < lengths[:, None])[:, None, :]
 
 
+def _in_layout_of(ref: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` in ``ref``'s memory order, so ops on the two stream."""
+    out = np.empty_like(ref, dtype=a.dtype)
+    out[...] = a
+    return out
+
+
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """Same-padded 1D convolution.
 
     ``x`` is (B, C_in, L), ``weight`` is (C_out, C_in, K) with K odd,
     ``bias`` is (C_out,). Output length is ceil(L / stride). The kernel
     is laid out as an im2col matrix product so the bulk of the work runs
-    through BLAS.
+    through BLAS. The output is a transposed view of the GEMM's rows: shape
+    (B, C_out, L_out), memory in (B, L_out, C_out) order. ``x``'s gradient
+    is a C-ordered slice of the padded buffer it is accumulated in.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.data.ndim != 3 or weight.data.ndim != 3 or bias.data.ndim != 1:
@@ -73,16 +88,16 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         raise ShapeMismatch("stride must be >= 1")
 
     pad = (kernel - 1) // 2
-    x_pad = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
-    # (B, C_in, L_pad - K + 1, K) windows, then every stride-th position.
-    windows = sliding_window_view(x_pad, kernel, axis=2)[:, :, ::stride, :]
-    out_len = windows.shape[2]
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(
-        batch * out_len, c_in * kernel
-    )
+    out_len = (length - 1) // stride + 1
+    # Channels-last padded input; cols[b, t, c, k] = x_pad[b, t * stride + k, c].
+    x_pad = np.zeros((batch, length + 2 * pad, c_in), x.data.dtype)
+    x_pad[:, pad : pad + length] = x.data.transpose(0, 2, 1)
+    cols = np.empty((batch, out_len, c_in, kernel), x.data.dtype)
+    for k in range(kernel):
+        cols[:, :, :, k] = x_pad[:, k : k + stride * out_len : stride]
+    cols = cols.reshape(batch * out_len, c_in * kernel)
     w2 = weight.data.reshape(c_out, c_in * kernel)
-    out = (cols @ w2.T).reshape(batch, out_len, c_out).transpose(0, 2, 1)
-    out = out + bias.data[None, :, None]
+    out = (cols @ w2.T + bias.data).reshape(batch, out_len, c_out).transpose(0, 2, 1)
 
     def backward(grad):
         g2 = np.ascontiguousarray(grad.transpose(0, 2, 1)).reshape(
@@ -96,7 +111,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         if x.requires_grad:
             dcols = (g2 @ w2).reshape(batch, out_len, c_in, kernel)
             dcols = dcols.transpose(0, 2, 1, 3)
-            dx_pad = np.zeros_like(x_pad)
+            dx_pad = np.zeros((batch, c_in, length + 2 * pad), x.data.dtype)
             for k in range(kernel):
                 dx_pad[:, :, k : k + stride * out_len : stride] += dcols[:, :, :, k]
             grad_x = dx_pad[:, :, pad : pad + length]
@@ -110,9 +125,10 @@ def relu(x: Tensor) -> Tensor:
     positive = x.data > 0
 
     def backward(grad):
-        return (grad * positive,)
+        return (grad * _in_layout_of(grad, positive),)
 
-    return Tensor(np.where(positive, x.data, 0), parents=(x,), backward_fn=backward)
+    # fmax, unlike maximum, maps NaN to 0 as np.where(x > 0, x, 0) does
+    return Tensor(np.fmax(x.data, 0), parents=(x,), backward_fn=backward)
 
 
 def batchnorm1d(
@@ -156,40 +172,41 @@ def batchnorm1d(
     if training:
         xm = x.data if mask is None else x.data * mask
         mean = xm.sum(axis=(0, 2)) / count
-        centered = x.data - mean[None, :, None]
-        if mask is not None:
-            centered = centered * mask
+    else:
+        mean = running_mean.astype(x.data.dtype)
+    centered = x.data - mean[None, :, None]
+    if mask is not None:
+        centered *= mask
+    if training:
         var = (centered * centered).sum(axis=(0, 2)) / count
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mean = running_mean.astype(x.data.dtype)
         var = running_var.astype(x.data.dtype)
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None]) * inv_std[None, :, None]
-    if mask is not None:
-        xhat = xhat * mask
+    xhat = centered * inv_std[None, :, None]
     out = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
     if mask is not None:
-        out = out * mask
+        out *= mask
 
     def backward(grad):
         g = grad if mask is None else grad * mask
+        xhat_g = _in_layout_of(g, xhat)
         grad_gamma = grad_beta = grad_x = None
         if beta.requires_grad:
             grad_beta = g.sum(axis=(0, 2))
         if gamma.requires_grad:
-            grad_gamma = (g * xhat).sum(axis=(0, 2))
+            grad_gamma = (g * xhat_g).sum(axis=(0, 2))
         if x.requires_grad:
             dxhat = g * gamma.data[None, :, None]
             if training:
                 sum_d = dxhat.sum(axis=(0, 2))[None, :, None]
-                sum_dx = (dxhat * xhat).sum(axis=(0, 2))[None, :, None]
+                sum_dx = (dxhat * xhat_g).sum(axis=(0, 2))[None, :, None]
                 grad_x = inv_std[None, :, None] * (
-                    dxhat - sum_d / count - xhat * sum_dx / count
+                    dxhat - sum_d / count - xhat_g * sum_dx / count
                 )
             else:
                 grad_x = dxhat * inv_std[None, :, None]

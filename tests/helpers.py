@@ -6,6 +6,7 @@ from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from perfid import align as aligner
 from perfid import midi_io
@@ -209,6 +210,96 @@ def adam_step_expression(params, state):
             p.data.dtype, copy=False
         )
     return params
+
+
+def conv1d_expression(x, weight, bias, stride=1):
+    """Reference for ``ops.conv1d``: ``np.pad`` and one copy of the
+    transposed sliding windows as the im2col matrix. Same GEMMs, same
+    output layout, so the two must agree bit for bit.
+    """
+    batch, c_in, length = x.data.shape
+    c_out, _, kernel = weight.data.shape
+    pad = (kernel - 1) // 2
+    x_pad = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
+    windows = sliding_window_view(x_pad, kernel, axis=2)[:, :, ::stride, :]
+    out_len = windows.shape[2]
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(
+        batch * out_len, c_in * kernel
+    )
+    w2 = weight.data.reshape(c_out, c_in * kernel)
+    out = (cols @ w2.T).reshape(batch, out_len, c_out).transpose(0, 2, 1)
+    out = out + bias.data[None, :, None]
+
+    def backward(grad):
+        g2 = np.ascontiguousarray(grad.transpose(0, 2, 1)).reshape(batch * out_len, c_out)
+        grad_w = (g2.T @ cols).reshape(c_out, c_in, kernel)
+        grad_b = grad.sum(axis=(0, 2))
+        dcols = (g2 @ w2).reshape(batch, out_len, c_in, kernel).transpose(0, 2, 1, 3)
+        dx_pad = np.zeros_like(x_pad)
+        for k in range(kernel):
+            dx_pad[:, :, k : k + stride * out_len : stride] += dcols[:, :, :, k]
+        return dx_pad[:, :, pad : pad + length], grad_w, grad_b
+
+    return Tensor(out, parents=(x, weight, bias), backward_fn=backward)
+
+
+def relu_expression(x):
+    """Reference for ``ops.relu``: ``np.where`` on a mask in ``x``'s layout."""
+    positive = x.data > 0
+
+    def backward(grad):
+        return (grad * positive,)
+
+    return Tensor(np.where(positive, x.data, 0), parents=(x,), backward_fn=backward)
+
+
+def batchnorm1d_expression(x, gamma, beta, running_mean, running_var, training,
+                           lengths=None, momentum=0.1, eps=1e-5):
+    """Reference for ``ops.batchnorm1d``: ``xhat`` recomputed from ``x`` and
+    used in ``x``'s layout by the backward pass."""
+    batch, _, length = x.data.shape
+    mask = None
+    if lengths is not None:
+        mask = ops._length_mask(lengths, batch, length).astype(x.data.dtype)
+        count = float(mask.sum())
+    else:
+        count = float(batch * length)
+    if training:
+        xm = x.data if mask is None else x.data * mask
+        mean = xm.sum(axis=(0, 2)) / count
+        centered = x.data - mean[None, :, None]
+        if mask is not None:
+            centered = centered * mask
+        var = (centered * centered).sum(axis=(0, 2)) / count
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+    else:
+        mean = running_mean.astype(x.data.dtype)
+        var = running_var.astype(x.data.dtype)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mean[None, :, None]) * inv_std[None, :, None]
+    if mask is not None:
+        xhat = xhat * mask
+    out = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
+    if mask is not None:
+        out = out * mask
+
+    def backward(grad):
+        g = grad if mask is None else grad * mask
+        dxhat = g * gamma.data[None, :, None]
+        if training:
+            sum_d = dxhat.sum(axis=(0, 2))[None, :, None]
+            sum_dx = (dxhat * xhat).sum(axis=(0, 2))[None, :, None]
+            grad_x = inv_std[None, :, None] * (dxhat - sum_d / count - xhat * sum_dx / count)
+        else:
+            grad_x = dxhat * inv_std[None, :, None]
+        if mask is not None:
+            grad_x = grad_x * mask
+        return grad_x, (g * xhat).sum(axis=(0, 2)), g.sum(axis=(0, 2))
+
+    return Tensor(out, parents=(x, gamma, beta), backward_fn=backward)
 
 
 def forward_on_tape(model, x, lengths=None):

@@ -323,6 +323,24 @@ def test_extract_refuses_records_outside_the_corpus(path, corpus, tmp_path, caps
     assert f"error: MalformedRegistry: {bad.id}: {path} lies outside" in err
 
 
+@pytest.mark.parametrize("rec_id", ["", "..", "../outside", "sub/take"])
+@pytest.mark.parametrize("command", ["train", "extract"])
+def test_a_record_id_that_is_not_a_file_name_is_refused(command, rec_id, corpus, tmp_path,
+                                                        capsys):
+    root = tmp_path / "c"
+    shutil.copytree(corpus, root)
+    records = dataset.load_registry(root / "registry.json")
+    dataset.save_registry([replace(records[0], id=rec_id), *records[1:]],
+                          root / "registry.json")
+    argv = [command, "--corpus", str(root), "--out", str(tmp_path / "out" / "run")]
+    if command == "train":
+        argv += ["--epochs", "1", "--length", "20"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: MalformedRegistry: {root / 'registry.json'}: record id ")
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".f32")]
+
+
 # ---------------------------------------------------------------------------
 # split
 
@@ -481,6 +499,20 @@ def test_train_rejects_a_malformed_split_csv(edit, message, corpus, tmp_path, ca
     err = capsys.readouterr().err
     assert "error: MalformedSplitCsv: " in err and message in err
     assert "Traceback" not in err
+    assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+
+def test_train_names_a_split_csv_that_is_not_utf8(corpus, tmp_path, capsys):
+    split_csv = tmp_path / "split.csv"
+    assert main(["split", "--registry", str(corpus / "registry.json"),
+                 "--out", str(split_csv)]) == 0
+    split_csv.write_bytes(split_csv.read_bytes().replace(b",Train", b",Tr\xffain", 1))
+    capsys.readouterr()
+    argv = ["train", "--corpus", str(corpus), "--split-csv", str(split_csv),
+            "--out", str(tmp_path / "run"), "--epochs", "1", "--length", "20"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: MalformedSplitCsv: {split_csv}: not UTF-8: ")
     assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
 
@@ -921,7 +953,8 @@ REGISTRY_CASES = (
     [("nested-100000-deep", lambda text, rng: b"[" * 100_000),
      ("truncated", lambda text, rng: text.encode()[:int(rng.integers(len(text)))]),
      ("non-utf8-byte", insert_byte(b"\xff")),
-     ("records-not-a-list", registry_edit(lambda doc, record, rng: doc.update(records={})))]
+     ("records-not-a-list", registry_edit(lambda doc, record, rng: doc.update(records={}))),
+     ("id-empty", registry_edit(set_field("id", "")))]
     + [(f"{f}-nul-byte", registry_edit(set_field(f, with_nul))) for f in PATH_FIELDS]
     + [(f"{f}-empty", registry_edit(set_field(f, ""))) for f in PATH_FIELDS]
     + [(f"{f}-wrong-type", registry_edit(set_field(f, wrong_type))) for f in RECORD_FIELDS]

@@ -24,6 +24,7 @@ from perfid.neural import (
     dropout,
     load_checkpoint,
     masked_global_avg_pool,
+    ops,
     param_count,
     relu,
     save_checkpoint,
@@ -32,7 +33,22 @@ from perfid.neural import (
 from perfid.neural.model import CorruptCheckpoint
 from perfid.neural.optim import SLICE, DtypeMismatch
 
-from helpers import adam_step_expression, check_gradients, forward_on_tape, leaf, weighted_sum
+from helpers import (
+    adam_step_expression,
+    batchnorm1d_expression,
+    check_gradients,
+    conv1d_expression,
+    forward_on_tape,
+    leaf,
+    relu_expression,
+    weighted_sum,
+)
+
+EXPRESSION_OPS = {
+    "conv1d": conv1d_expression,
+    "relu": relu_expression,
+    "batchnorm1d": batchnorm1d_expression,
+}
 
 
 def test_conv1d_gradients():
@@ -492,6 +508,90 @@ def test_adam_matches_expression_form_bit_for_bit(dtype, weight_decay):
         assert got_state.v[i].tobytes() == want_state.v[i].tobytes()
     assert got[2].data.tobytes() == inits[2].tobytes()
     assert not np.array_equal(got[0].data, inits[0])
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("channels_last", [False, True], ids=["bcl", "blc"])
+@pytest.mark.parametrize("batch, c_in, length, c_out, kernel, stride, lengths", [
+    (16, 13, 200, 16, 5, 1, None),  # desk layer 0
+    (16, 16, 200, 24, 5, 2, None),  # desk layer 1
+    (5, 6, 23, 7, 5, 2, [1, 3, 23, 9, 2]),
+    (4, 6, 17, 7, 3, 1, [3, 1, 17, 5]),
+    (2, 512, 13, 64, 7, 2, None),  # full-model width
+], ids=["desk-L200", "desk-stride2", "padded-stride2", "padded-stride1", "full-width"])
+def test_layer_ops_match_expression_form_bit_for_bit(
+    batch, c_in, length, c_out, kernel, stride, lengths, channels_last, training
+):
+    rng = np.random.default_rng(31)
+    shape = (batch, length, c_in) if channels_last else (batch, c_in, length)
+    x = rng.standard_normal(shape).astype(np.float32)
+    if channels_last:  # the order conv1d returns, so what later blocks receive
+        x = x.transpose(0, 2, 1)
+    w = rng.standard_normal((c_out, c_in, kernel)).astype(np.float32)
+    arrays = [x, w] + [rng.standard_normal(c_out).astype(np.float32) for _ in range(3)]
+    buffers = rng.uniform(0.5, 1.5, size=(2, c_out)).astype(np.float32)
+    lengths = None if lengths is None else np.array(lengths)
+    out_lengths = None if lengths is None else (lengths + stride - 1) // stride
+    proj = rng.standard_normal((batch, c_out)).astype(np.float32)
+    sides = []
+    for use in (vars(ops), EXPRESSION_OPS):
+        x_t, w_t, b_t, gamma, beta = (Tensor(a, requires_grad=True) for a in arrays)
+        run_m, run_v = buffers.copy()
+        conv = use["conv1d"](x_t, w_t, b_t, stride=stride)
+        act = use["relu"](conv)
+        norm = use["batchnorm1d"](act, gamma, beta, run_m, run_v,
+                                  training=training, lengths=out_lengths)
+        weighted_sum(masked_global_avg_pool(norm, out_lengths), proj).backward()
+        outputs = [conv.data, act.data, norm.data, run_m, run_v]
+        sides.append(outputs + [t.grad for t in (x_t, w_t, b_t, gamma, beta)])
+    for got, want in zip(*sides):
+        assert got.dtype == want.dtype and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("length", [200, 37])
+def test_desk_steps_and_eval_match_expression_ops_bit_for_bit(length, monkeypatch):
+    sides = []
+    for patched in (False, True):
+        if patched:
+            for name, fn in EXPRESSION_OPS.items():
+                monkeypatch.setattr(ops, name, fn)
+        model = PianistConvNet(desk_config(), seed=3)
+        state = AdamState(model.parameters(), lr=1e-2, weight_decay=1e-4)
+        rng = np.random.default_rng(41)
+        seen = []
+        for _ in range(3):
+            x = rng.standard_normal((16, 13, length)).astype(np.float32)
+            model.zero_grad()
+            softmax_cross_entropy(model.forward(x, training=True), rng.integers(0, 6, 16)).backward()
+            seen += [t.grad for t in model.parameters()]
+            adam_step(model.parameters(), state)
+        seen += [a.copy() for _, a in model.named_arrays()]
+        x = rng.standard_normal((4, 13, length)).astype(np.float32)
+        seen.append(model.forward(x).data)
+        seen.append(model.forward(x, lengths=np.array([length, 1, 3, length // 2])).data)
+        sides.append(seen)
+    for got, want in zip(*sides):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_maps_signed_zero_nan_and_inf_as_where_does(dtype):
+    values = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 2.5, -2.5], dtype)
+    # +0.0 for -0.0 and for NaN, which np.maximum would propagate
+    expected = np.array([0.0, 0.0, 0.0, 0.0, np.inf, 0.0, 2.5, 0.0], dtype)
+    data = np.tile(values, (3, 2, 5))  # long enough rows for vectorised loops
+    proj = np.tile(np.array([1.0, -1.0], dtype), (3, 2, 20))
+    sides = []
+    for op in (relu, relu_expression):
+        x = Tensor(data.copy(), requires_grad=True)
+        out = op(x)
+        weighted_sum(out, proj).backward()
+        sides.append((out.data, x.grad))
+    (out, grad), (want_out, want_grad) = sides
+    assert out.dtype == dtype
+    assert out.tobytes() == np.tile(expected, (3, 2, 5)).tobytes() == want_out.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_adam_step_is_atomic_when_a_grad_is_rejected():
