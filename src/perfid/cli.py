@@ -25,7 +25,6 @@ from .align import align, export_alignment, info_loss
 from .experiment import pipeline, studies, training
 from .experiment.training import TrainConfig, evaluate, predictions_to_csv
 from .midi_io import parse_midi
-from .neural import load_checkpoint
 
 
 class UsageError(ValueError):
@@ -106,6 +105,14 @@ def _existing(path: Path | None, what: str, exists=Path.is_file) -> Path:
     if not exists(path):
         raise UsageError(f"{what} not found: {path}")
     return path
+
+
+def _with_ids(records: list, ids, what: str) -> list:
+    """The ``records`` whose id is in ``ids``; an id the corpus lacks is an error."""
+    chosen = [r for r in records if r.id in ids]
+    if missing := set(ids) - {r.id for r in chosen}:
+        raise PipelineError(f"corpus lacks {len(missing)} of {what}, first {min(missing)}")
+    return chosen
 
 
 def _settings(args: argparse.Namespace) -> dict:
@@ -273,7 +280,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         except UnicodeDecodeError as exc:
             raise dataset.MalformedSplitCsv(f"{path}: not UTF-8: {exc}") from exc
         del settings["split-seed"]  # the CSV fixes the split
-    records = [r for r in records if r.id in assignment.assignment]
+        records = _with_ids(records, assignment.assignment, "the split CSV's record ids")
     config = _train_config(args)
     settings["lr"] = config.lr  # the profile's lr when --lr is absent
 
@@ -300,22 +307,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ckpt_path = _existing(args.checkpoint, "checkpoint")
     _refuse_existing([out / "metrics.json", out / "predictions.csv"], args.force)
 
-    model, header = load_checkpoint(ckpt_path)
-    extras = header.get("extras", {})
     try:
-        stats = features.NormStats.from_json(extras["normalizer"])
-        class_names = extras["class_names"]
-        if not (isinstance(class_names, list) and all(isinstance(n, str) for n in class_names)
-                and len(set(class_names)) == len(class_names) == model.config.n_classes):
-            raise TypeError(f"class_names is not {model.config.n_classes} distinct names")
-        combo_cols = tuple(extras["schema"])
-        segment_length = extras.get("segment_length")
-        if segment_length is not None and (type(segment_length) is not int or segment_length < 2):
-            raise TypeError(f"segment_length {segment_length!r} is not null or an integer >= 2")
-        split_ids = extras["split"][args.split]
-        if not (isinstance(split_ids, list) and all(isinstance(i, str) for i in split_ids)):
-            raise TypeError(f"{args.split} split is not a list of record ids")
-    except (KeyError, TypeError, ValueError) as exc:
+        model, stats, class_names, segment_length, split_ids = training.load_run(
+            ckpt_path, args.split)
+    except training.UnusableRun as exc:
         raise PipelineError(f"checkpoint lacks usable evaluation metadata: {exc}") from exc
     if args.length is not None:  # absent: the checkpoint's segment length
         segment_length = None if args.length == "full" else args.length
@@ -324,14 +319,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                          "pass --length or --level piece")
 
     # score exactly the records the model was split against
-    wanted = set(split_ids)
-    chosen = [r for r in pipeline.load_corpus(corpus) if r.id in wanted]
-    missing = wanted - {r.id for r in chosen}
-    if missing:
-        raise PipelineError(
-            f"corpus lacks {len(missing)} of the checkpoint's {args.split} "
-            f"record ids, first {min(missing)}"
-        )
+    chosen = _with_ids(pipeline.load_corpus(corpus), set(split_ids),
+                       f"the checkpoint's {args.split} record ids")
     if not chosen:
         raise PipelineError(f"split {args.split} selects no performances")
     unknown = sorted({r.pianist for r in chosen} - set(class_names))
@@ -339,14 +328,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise PipelineError(f"pianists unseen at training time: {unknown}")
 
     matrices = pipeline.extract_corpus(chosen, corpus)
-    schema = features.FeatureSchema(columns=combo_cols)
-    prepared = [
-        features.apply_normalizer(features.subset(matrices[rid], schema), stats)
-        for rid in sorted(matrices)
-    ]
-    result = evaluate(
-        model, prepared, class_names, level=args.level, segment_length=segment_length
-    )
+    schema = features.FeatureSchema(columns=stats.columns)
+    prepared = [features.apply_normalizer(features.subset(matrices[rid], schema), stats)
+                for rid in sorted(matrices)]
+    result = evaluate(model, prepared, class_names, level=args.level,
+                      segment_length=segment_length)
 
     out.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -358,8 +344,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     }
     (out / "metrics.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
     (out / "predictions.csv").write_text(predictions_to_csv(result.predictions))
-    inputs = _hash_corpus(corpus)
-    inputs["checkpoint"] = _sha256_file(ckpt_path)
+    inputs = {**_hash_corpus(corpus), "checkpoint": _sha256_file(ckpt_path)}
     artifacts = [out / "metrics.json", out / "predictions.csv"]
     _write_manifest(out, "eval", _settings(args), [], inputs, artifacts)
     print(

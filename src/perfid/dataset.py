@@ -19,6 +19,8 @@ the ground-truth "performer" signal is known by construction.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import random
@@ -114,22 +116,27 @@ def split(records: list[PerformanceRecord], seed: int) -> SplitAssignment:
 
 
 def assignment_to_csv(assignment: SplitAssignment, records: list[PerformanceRecord]) -> str:
-    lines = ["id,pianist,composition,split"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["id", "pianist", "composition", "split"])
     for rec in sorted(records, key=lambda r: r.id):
-        lines.append(f"{rec.id},{rec.pianist},{rec.composition},{assignment[rec.id]}")
-    return "\n".join(lines) + "\n"
+        writer.writerow([rec.id, rec.pianist, rec.composition, assignment[rec.id]])
+    return buf.getvalue()
 
 
 def assignment_from_csv(text: str) -> SplitAssignment:
-    rows = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not rows or rows[0][1] != "id,pianist,composition,split":
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:  # (1-based line, fields) of every line that is not blank
+        rows = [(reader.line_num, row) for row in reader if len(row) > 1 or "".join(row).strip()]
+    except csv.Error as exc:
+        raise MalformedSplitCsv(f"line {reader.line_num}: {exc}") from exc
+    if not rows or rows[0][1] != ["id", "pianist", "composition", "split"]:
         raise MalformedSplitCsv("bad split CSV header")
     assignment = {}
-    for k, line in rows[1:]:
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise MalformedSplitCsv(f"line {k}: want 4 fields, got {len(fields)}")
-        rec_id, _, _, s = fields
+    for k, row in rows[1:]:
+        if len(row) != 4:
+            raise MalformedSplitCsv(f"line {k}: want 4 fields, got {len(row)}")
+        rec_id, _, _, s = row
         if s not in SPLITS:
             raise MalformedSplitCsv(f"line {k}: unknown split {s!r}")
         if rec_id in assignment:

@@ -1,4 +1,4 @@
-"""Seeded training runs, split evaluation, and repeated-run statistics."""
+"""Seeded training runs and their checkpoints, split evaluation, repeated-run statistics."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from ..neural import (
     ModelConfig,
     PianistConvNet,
     adam_step,
+    load_checkpoint,
     save_checkpoint,
     softmax_cross_entropy,
 )
@@ -33,6 +34,10 @@ class DivergedLoss(FloatingPointError):
 
 class SchemaMismatch(ValueError):
     """Model and features disagree on the input columns."""
+
+
+class UnusableRun(ValueError):
+    """A checkpoint's run metadata is not what :func:`train` writes."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,6 @@ class TrainResult:
     log: list[dict]
     best_epoch: int
     best_valid: Metrics | None
-    class_names: list[str]
 
 
 @dataclass
@@ -164,7 +168,7 @@ def train(
     best_f1 = -1.0
     best_epoch = 0
     best_valid: Metrics | None = None
-    best_arrays: dict[str, np.ndarray] | None = None
+    best_arrays: list[np.ndarray] | None = None
 
     for epoch in range(1, config.epochs + 1):
         perm = shuffle_rng.permutation(len(train_items))
@@ -201,25 +205,18 @@ def train(
             best_f1 = valid_metrics.macro_f1
             best_epoch = epoch
             best_valid = valid_metrics
-            best_arrays = {n: a.copy() for n, a in model.named_arrays()}
+            best_arrays = [a.copy() for _, a in model.named_arrays()]
 
     if best_arrays is not None:
-        model.load_arrays(best_arrays)
+        model.set_arrays(best_arrays)
 
-    result = TrainResult(
-        model=model,
-        config=config,
-        log=log,
-        best_epoch=best_epoch,
-        best_valid=best_valid,
-        class_names=list(sets.class_names),
-    )
+    result = TrainResult(model, config, log, best_epoch, best_valid)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "epochs.csv").write_text(epoch_log_to_csv(log))
         extras = {
-            "class_names": result.class_names,
+            "class_names": list(sets.class_names),
             "combo": config.combo,
             "segment_length": config.segment_length,
             "schema": list(sets.normalizer.columns),
@@ -235,6 +232,34 @@ def train(
         }
         save_checkpoint(out_dir / "checkpoint.bin", model, extras=extras)
     return result
+
+
+def load_run(path: str | Path, split: str):
+    """The model, normalizer, class names, segment length and ``split``'s record ids
+    that :func:`train` wrote; metadata it would not write raises :class:`UnusableRun`."""
+    model, header = load_checkpoint(path)
+    n_classes, width = model.config.n_classes, model.config.in_features
+    try:
+        extras = header["extras"]
+        stats = features.NormStats.from_json(extras["normalizer"])
+        if not (stats.columns in features.COMBINATIONS.values() and len(stats.columns) == width
+                and stats.mean.shape == stats.std.shape == (width,) and (stats.std > 0).all()
+                and np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()):
+            raise TypeError(f"normalizer is not one combo's {width} columns, each with a "
+                            "finite mean and a finite std > 0")
+        class_names = extras["class_names"]
+        if not (isinstance(class_names, list) and all(isinstance(n, str) for n in class_names)
+                and len(set(class_names)) == len(class_names) == n_classes):
+            raise TypeError(f"class_names is not {n_classes} distinct names")
+        segment_length = extras["segment_length"]
+        if segment_length is not None and (type(segment_length) is not int or segment_length < 2):
+            raise TypeError(f"segment_length {segment_length!r} is not null or an integer >= 2")
+        record_ids = extras["split"][split]
+        if not (isinstance(record_ids, list) and all(isinstance(i, str) for i in record_ids)):
+            raise TypeError(f"{split} split is not a list of record ids")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UnusableRun(str(exc)) from exc
+    return model, stats, class_names, segment_length, record_ids
 
 
 def epoch_log_to_csv(log: list[dict]) -> str:

@@ -213,18 +213,10 @@ class PianistConvNet:
         logits = self.forward(x, lengths=lengths, training=False)
         return logits.data.argmax(axis=1)
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Overwrite parameters and buffers from a name -> array mapping."""
-        for name, current in self.named_arrays():
-            if name not in arrays:
-                raise CorruptCheckpoint(f"missing array {name!r}")
-            incoming = np.asarray(arrays[name], dtype=self.dtype)
-            if incoming.shape != current.shape:
-                raise CorruptCheckpoint(
-                    f"array {name!r} has shape {incoming.shape}, "
-                    f"expected {current.shape}"
-                )
-            current[...] = incoming
+    def set_arrays(self, arrays) -> None:
+        """Overwrite :meth:`named_arrays` by position, each reshaped to its slot."""
+        for (_, current), incoming in zip(self.named_arrays(), arrays, strict=True):
+            current[...] = np.reshape(incoming, current.shape)
 
 
 def save_checkpoint(path, model: PianistConvNet, extras: dict | None = None) -> None:
@@ -290,9 +282,6 @@ def load_checkpoint(path) -> tuple[PianistConvNet, dict]:
     if declared != [(name, a.shape) for name, a in model.named_arrays()]:
         raise CorruptCheckpoint("array list does not match the architecture")
 
-    flat = np.frombuffer(payload, dtype="<f4")
-    offset = 0
-    for _, current in model.named_arrays():
-        current[...] = flat[offset : offset + current.size].reshape(current.shape)
-        offset += current.size
+    sizes = [a.size for _, a in model.named_arrays()]
+    model.set_arrays(np.split(np.frombuffer(payload, dtype="<f4"), np.cumsum(sizes)[:-1]))
     return model, header

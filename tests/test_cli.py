@@ -516,6 +516,44 @@ def test_train_names_a_split_csv_that_is_not_utf8(corpus, tmp_path, capsys):
     assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
 
+def test_train_refuses_split_csv_ids_the_corpus_lacks(corpus, tmp_path, capsys):
+    split_csv = tmp_path / "split.csv"
+    assert main(["split", "--registry", str(corpus / "registry.json"),
+                 "--out", str(split_csv)]) == 0
+    with open(split_csv, "a") as fh:
+        fh.write("ghost__id,pianist_00,piece_000,Train\n")
+    capsys.readouterr()
+    argv = ["train", "--corpus", str(corpus), "--split-csv", str(split_csv),
+            "--out", str(tmp_path / "run"), "--epochs", "1", "--length", "20"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: corpus lacks 1 of the split CSV's record ids, first ghost__id\n")
+    assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+
+def test_ids_and_pianists_with_commas_round_trip_the_split_csv(corpus, tmp_path):
+    """``split`` quotes a field holding a comma, so ``train --split-csv`` reads
+    back the CSV that ``split`` wrote."""
+    root = tmp_path / "c"
+    shutil.copytree(corpus, root)
+    first = "pianist_00__piece_000__take0"
+    rewrite_registry(root, lambda records: [
+        replace(r, id="a,b" if r.id == first else r.id,
+                pianist="Horowitz, V." if r.pianist == "pianist_00" else r.pianist)
+        for r in records
+    ])
+    split_csv = tmp_path / "split.csv"
+    assert main(["split", "--registry", str(root / "registry.json"),
+                 "--out", str(split_csv)]) == 0
+    assert '"a,b","Horowitz, V.",' in split_csv.read_text()
+    out = tmp_path / "run"
+    assert main(["train", "--corpus", str(root), "--split-csv", str(split_csv),
+                 "--out", str(out), "--epochs", "1", "--length", "full"]) == 0
+    extras = load_checkpoint(out / "checkpoint.bin")[1]["extras"]
+    assert "Horowitz, V." in extras["class_names"]
+    assert "a,b" in sum(extras["split"].values(), [])
+
+
 @pytest.mark.parametrize("profile", ["desk", "full"])
 def test_train_on_a_one_pianist_split_fails(profile, corpus, tmp_path, capsys):
     split_csv = tmp_path / "split.csv"
@@ -735,6 +773,13 @@ def set_class_names(edit_names):
     return edit
 
 
+def set_normalizer(key, edit_values):
+    def edit(header):
+        normalizer = header["extras"]["normalizer"]
+        normalizer[key] = edit_values(normalizer[key])
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (set_config, "error: CorruptCheckpoint: "),
     (set_test_split, "error: checkpoint lacks usable evaluation metadata: "),
@@ -748,9 +793,23 @@ def set_class_names(edit_names):
      "error: checkpoint lacks usable evaluation metadata: "),
     (set_class_names(lambda names: [names[0]] * len(names)),
      "error: checkpoint lacks usable evaluation metadata: "),
+    (set_normalizer("mean", lambda values: values[:-1]),
+     "error: checkpoint lacks usable evaluation metadata: "),
+    (set_normalizer("mean", lambda values: [float("nan")] + values[1:]),
+     "error: checkpoint lacks usable evaluation metadata: "),
+    (set_normalizer("std", lambda values: [0.0] + values[1:]),
+     "error: checkpoint lacks usable evaluation metadata: "),
+    (set_normalizer("std", lambda values: [-1.0] + values[1:]),
+     "error: checkpoint lacks usable evaluation metadata: "),
+    (set_normalizer("std", lambda values: [float("inf")] + values[1:]),
+     "error: checkpoint lacks usable evaluation metadata: "),
+    (set_normalizer("columns", lambda values: values[::-1]),
+     "error: checkpoint lacks usable evaluation metadata: "),
 ], ids=["config-is-5", "test-split-is-3", "array-shape-is-a", "segment-length-is-x",
         "segment-length-is-1", "segment-length-is-true", "class-names-with-a-ghost",
-        "class-names-as-lists", "class-names-repeated"])
+        "class-names-as-lists", "class-names-repeated", "normalizer-mean-short",
+        "normalizer-mean-nan", "normalizer-std-zero", "normalizer-std-negative",
+        "normalizer-std-inf", "normalizer-columns-reversed"])
 def test_eval_bad_header_field_is_pipeline_error(edit, message, corpus, trained, tmp_path,
                                                  capsys):
     """A header edited behind a still-valid payload digest exits 1, not a traceback."""

@@ -128,7 +128,8 @@ def test_assignment_csv_round_trip():
     ("b,p,c", "line 4: want 4 fields, got 3"),
     ("b,p,c,Dev", "line 4: unknown split 'Dev'"),
     ("a,p,c,Test", "line 4: repeated record id 'a'"),
-], ids=["three-fields", "unknown-split", "repeated-id"])
+    ("x" * 200_000 + ",p,c,Test", "line 4: field larger than field limit"),
+], ids=["three-fields", "unknown-split", "repeated-id", "huge-field"])
 def test_split_csv_errors_name_the_line(row, message):
     text = f"id,pianist,composition,split\na,p,c,Train\n\n{row}\n"
     with pytest.raises(MalformedSplitCsv, match=re.escape(message)):

@@ -33,6 +33,7 @@ from perfid.experiment.training import (
     epoch_log_to_csv,
     evaluate,
     format_mean_std,
+    load_run,
     predictions_to_csv,
     repeat_runs,
     train,
@@ -208,6 +209,21 @@ def test_train_learns_separable_toy_data(tmp_path):
     assert header["extras"]["class_names"] == ["high", "low"]
     x = np.stack([m.rows.T for m in sets.test]).astype(np.float32)
     assert np.array_equal(loaded.predict(x), result.model.predict(x))
+
+
+def test_load_run_reads_back_what_train_wrote(tmp_path):
+    sets = toy_sets()
+    config = toy_config(epochs=3, segment_length=12)
+    result = train(config, sets, out_dir=tmp_path)
+    for split, matrices in zip(("Train", "Valid", "Test"), (sets.train, sets.valid, sets.test)):
+        model, stats, class_names, segment_length, record_ids = load_run(
+            tmp_path / "checkpoint.bin", split)
+        assert record_ids == [m.piece_id for m in matrices]
+    assert stats.to_json() == sets.normalizer.to_json()
+    assert class_names == sets.class_names
+    assert segment_length == config.segment_length
+    trained = [(name, a.tobytes()) for name, a in result.model.named_arrays()]
+    assert [(name, a.tobytes()) for name, a in model.named_arrays()] == trained
 
 
 def test_train_is_deterministic():

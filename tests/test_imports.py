@@ -1,5 +1,6 @@
 """Every module under ``src/perfid`` uses each name it imports, and every
-module-level function and class has a caller outside the tests.
+module-level function and class, and each non-dunder method of such a
+class, has a caller outside the tests.
 
 The project depends on no linter, so these stdlib ``ast`` walks stand in
 for pyflakes' unused-import check and for a dead-code scan. Package
@@ -67,15 +68,27 @@ def referenced_names(source: str) -> set[str]:
     return names
 
 
+def definitions(tree: ast.Module):
+    """(qualified name, bare name) of each module-level def or class and of
+    each non-dunder method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
 def unused_definitions(defining: dict[str, str], callers: list[str]) -> list[str]:
-    """``module:name`` of each module-level def or class in ``defining``
-    (module name to source) that no source in ``callers`` references."""
+    """``module:name`` of each definition in ``defining`` (module name to
+    source) whose bare name no source in ``callers`` references."""
     used = set().union(*(referenced_names(source) for source in callers))
     return [
-        f"{module}:{node.name}"
+        f"{module}:{qualified}"
         for module, source in defining.items()
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+        for qualified, name in definitions(ast.parse(source))
+        if name not in used
     ]
 
 
@@ -86,10 +99,15 @@ def test_every_definition_has_a_caller_outside_the_tests():
 
 
 def test_the_dead_name_check_sees_an_uncalled_definition():
-    module = "def used():\n    pass\n\ndef unused():\n    used()\n\nclass Idle:\n    pass\n"
-    caller = "from m import used\nimport m\nm.Idle.x = 1\n"
-    assert unused_definitions({"m.py": module}, [caller]) == ["m.py:unused"]
-    assert unused_definitions({"m.py": module}, [module]) == ["m.py:unused", "m.py:Idle"]
+    module = (
+        "def used():\n    pass\n\ndef unused():\n    used()\n\nclass Idle:\n    pass\n\n"
+        "class Net:\n    def __init__(self):\n        pass\n\n"
+        "    def run(self):\n        self.stale()\n\n    def stale(self):\n        pass\n"
+    )
+    caller = "from m import used\nimport m\nm.Idle.x = 1\nm.Net().run()\n"
+    assert unused_definitions({"m.py": module}, [caller]) == ["m.py:unused", "m.py:Net.stale"]
+    assert unused_definitions({"m.py": module}, [module]) == [
+        "m.py:unused", "m.py:Idle", "m.py:Net", "m.py:Net.run"]
 
 
 def test_the_check_sees_an_unused_import():

@@ -698,19 +698,6 @@ def test_checkpoint_payload_digest_detects_flipped_bytes(tmp_path):
         load_checkpoint(path)
 
 
-def test_load_arrays_validation():
-    model = PianistConvNet(desk_config(), seed=0)
-    arrays = dict(model.named_arrays())
-    key = next(iter(arrays))
-    missing = {k: v for k, v in arrays.items() if k != key}
-    with pytest.raises(CorruptCheckpoint):
-        model.load_arrays(missing)
-    bad = dict(arrays)
-    bad[key] = np.zeros((1, 2, 3))
-    with pytest.raises(CorruptCheckpoint):
-        model.load_arrays(bad)
-
-
 def test_few_steps_reduce_loss_on_separable_data():
     config = ModelConfig(
         in_features=2, n_classes=2, channels=(4, 4), kernel_size=3,
