@@ -2,11 +2,11 @@
 
 Every subcommand takes its settings from its flags alone; each flag's
 default is defined in ``build_parser`` and shown by ``perfid <cmd>
---help``. A subcommand writes its artifacts under ``--out``, refuses to
-overwrite existing artifacts unless ``--force`` is passed, and drops a
-manifest describing exactly what ran: every parsed flag, the seeds, and
-digests of the inputs. Re-running a manifest's command reproduces its
-artifacts byte for byte.
+--help``. A subcommand writes its artifacts under ``--out`` and refuses
+to overwrite existing artifacts unless ``--force`` is passed; ``main``
+then writes the manifest of what ran: every parsed flag, the seeds,
+digests of the inputs and the artifacts. Re-running a manifest's command
+reproduces its artifacts byte for byte.
 
 Exit codes: 0 success, 1 pipeline failure (diagnostic names the failing
 piece or file), 2 usage error.
@@ -33,6 +33,10 @@ class UsageError(ValueError):
 
 class PipelineError(RuntimeError):
     """A stage failed while processing; exits with code 1."""
+
+
+# what a subcommand returns for its manifest: artifacts, seeds, input digests
+Written = tuple[list[Path], list[int], dict]
 
 
 # ---------------------------------------------------------------------------
@@ -63,20 +67,16 @@ def _hash_corpus(root: Path) -> dict:
     }
 
 
-def _manifest_path(out: Path) -> Path:
-    if out.suffix and not out.is_dir():
-        return out.with_name(out.name + ".manifest.json")
-    return out / "manifest.json"
-
-
-def _write_manifest(
-    out: Path, command: str, config: dict, seeds: list[int], inputs: dict,
-    artifacts: list[Path],
-) -> Path:
-    base = out if out.is_dir() else out.parent
+def _write_manifest(args: argparse.Namespace, written: Written) -> None:
+    """Record what a command wrote and every parsed flag, keyed as on the command
+    line: inside a directory output, or beside a file output."""
+    (artifacts, seeds, inputs), out = written, args.out
+    base, path = ((out, out / "manifest.json") if out.is_dir()
+                  else (out.parent, out.with_name(out.name + ".manifest.json")))
     doc = {
-        "command": command,
-        "config": config,
+        "command": f"study:{args.id}" if args.command == "study" else args.command,
+        "config": {k.replace("_", "-"): v for k, v in vars(args).items()
+                   if k not in ("command", "func")},
         "seeds": seeds,
         "inputs": inputs,
         "artifacts": sorted(
@@ -85,10 +85,8 @@ def _write_manifest(
         ),
         "version": __version__,
     }
-    path = _manifest_path(out)
     # default=str writes the Path-typed flags as strings
     path.write_text(json.dumps(doc, sort_keys=True, indent=1, default=str) + "\n")
-    return path
 
 
 def _refuse_existing(paths: list[Path], force: bool) -> None:
@@ -115,12 +113,6 @@ def _with_ids(records: list, ids, what: str) -> list:
     return chosen
 
 
-def _settings(args: argparse.Namespace) -> dict:
-    """The manifest's ``config``: every parsed flag, keyed as on the command line."""
-    skip = ("command", "func")
-    return {k.replace("_", "-"): v for k, v in vars(args).items() if k not in skip}
-
-
 def _segment_length(text: str) -> int | str:
     """``--length``: a number of notes, or ``full`` for whole pieces."""
     if text.strip().lower() == "full":
@@ -135,13 +127,15 @@ def _segment_length(text: str) -> int | str:
 
 
 def _seed_list(text: str) -> list[int]:
-    """``--seeds``/``--split-seeds``: at least 2 comma-separated integers."""
+    """``--seeds``/``--split-seeds``: at least 2 distinct comma-separated integers."""
     try:
         seeds = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise UsageError(f"want comma-separated integers, got {text!r}") from None
     if len(seeds) < 2:
         raise UsageError(f"want at least 2 seeds, got {text!r}")
+    if len(set(seeds)) < len(seeds):
+        raise UsageError(f"want distinct seeds, got {text!r}")
     return seeds
 
 
@@ -161,13 +155,14 @@ def _at_least(low: int):
 def _train_config(args: argparse.Namespace) -> TrainConfig:
     """The ``--profile`` settings with every training flag applied.
 
-    Invalid values are usage errors.
+    Invalid values are usage errors. ``args.lr`` becomes the resolved lr, so
+    the manifest records the profile's when ``--lr`` is absent.
     """
     overrides = {} if args.lr is None else {"lr": args.lr}
     if args.command == "train":  # study keeps TrainConfig's combo, decay and seed
         overrides.update(combo=args.combo, weight_decay=args.weight_decay, seed=args.seed)
     try:
-        return studies.profile_config(
+        config = studies.profile_config(
             args.profile,
             batch_size=args.batch_size,
             epochs=args.epochs,
@@ -176,13 +171,15 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    args.lr = config.lr
+    return config
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace) -> Written:
     out = args.out
     if args.length_min > args.length_max:
         raise UsageError("--length-min exceeds --length-max")
@@ -196,12 +193,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     artifacts = [out / "registry.json"]
     artifacts += [out / r.perf_midi for r in records]
     artifacts += sorted({out / r.score_midi for r in records})
-    _write_manifest(out, "synth", _settings(args), [args.seed], {}, artifacts)
     print(f"wrote {len(records)} performances to {out}")
-    return 0
+    return artifacts, [args.seed], {}
 
 
-def cmd_align(args: argparse.Namespace) -> int:
+def cmd_align(args: argparse.Namespace) -> Written:
     out = args.out
     perf_path = _existing(args.perf, "performance MIDI")
     score_path = _existing(args.score, "score MIDI")
@@ -217,18 +213,16 @@ def cmd_align(args: argparse.Namespace) -> int:
 
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(table)
-    inputs = {"perf": _sha256_file(perf_path), "score": _sha256_file(score_path)}
-    _write_manifest(out, "align", _settings(args), [], inputs, [out])
     print(
         f"matched {len(alignment.pairs)}, missing {len(alignment.missing)}, "
         f"extra {len(alignment.extra)}, info_loss "
         f"{info_loss(alignment):.2f}%, seed {alignment.seed}, "
         f"dp_passes {alignment.dp_passes}"
     )
-    return 0
+    return [out], [], {"perf": _sha256_file(perf_path), "score": _sha256_file(score_path)}
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
+def cmd_extract(args: argparse.Namespace) -> Written:
     out = args.out
     corpus = _existing(args.corpus, "corpus directory", Path.is_dir)
     records = pipeline.load_corpus(corpus)
@@ -243,13 +237,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
         path = out / f"{rec_id}.f32"
         features.save_features(matrix, path)
         artifacts += [path, Path(str(path) + ".json")]
-    inputs = _hash_corpus(corpus)
-    _write_manifest(out, "extract", _settings(args), [], inputs, artifacts)
     print(f"extracted {len(matrices)} matrices ({len(schema)} columns) to {out}")
-    return 0
+    return artifacts, [], _hash_corpus(corpus)
 
 
-def cmd_split(args: argparse.Namespace) -> int:
+def cmd_split(args: argparse.Namespace) -> Written:
     out = args.out
     registry = _existing(args.registry, "registry")
     _refuse_existing([out], args.force)
@@ -258,19 +250,16 @@ def cmd_split(args: argparse.Namespace) -> int:
     assignment = dataset.split(records, args.seed)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(dataset.assignment_to_csv(assignment, records))
-    inputs = {"registry": _sha256_file(registry)}
-    _write_manifest(out, "split", _settings(args), [args.seed], inputs, [out])
     splits = list(assignment.assignment.values())
     print(json.dumps({s: splits.count(s) for s in dataset.SPLITS}, sort_keys=True))
-    return 0
+    return [out], [args.seed], {"registry": _sha256_file(registry)}
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace) -> Written:
     out = args.out
     corpus = _existing(args.corpus, "corpus directory", Path.is_dir)
     _refuse_existing([out / "checkpoint.bin", out / "epochs.csv"], args.force)
     records = pipeline.load_corpus(corpus)
-    settings = _settings(args)
     if args.split_csv is None:
         assignment = dataset.split(records, args.split_seed)
     else:
@@ -279,18 +268,14 @@ def cmd_train(args: argparse.Namespace) -> int:
             assignment = dataset.assignment_from_csv(path.read_text())
         except UnicodeDecodeError as exc:
             raise dataset.MalformedSplitCsv(f"{path}: not UTF-8: {exc}") from exc
-        del settings["split-seed"]  # the CSV fixes the split
+        del args.split_seed  # the CSV fixes the split; the manifest records no seed
         records = _with_ids(records, assignment.assignment, "the split CSV's record ids")
     config = _train_config(args)
-    settings["lr"] = config.lr  # the profile's lr when --lr is absent
 
     matrices = pipeline.extract_corpus(records, corpus)
     sets = pipeline.build_split_sets(matrices, assignment, config.combo)
     result = training.train(config, sets, out_dir=out)
 
-    inputs = _hash_corpus(corpus)
-    artifacts = [out / "epochs.csv", out / "checkpoint.bin"]
-    _write_manifest(out, "train", settings, [config.seed], inputs, artifacts)
     best = result.best_valid
     print(
         f"best epoch {result.best_epoch}: valid accuracy "
@@ -298,10 +283,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         if best is not None
         else "zero-epoch run: checkpoint holds the initialized model"
     )
-    return 0
+    return [out / "epochs.csv", out / "checkpoint.bin"], [config.seed], _hash_corpus(corpus)
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> Written:
     out = args.out
     corpus = _existing(args.corpus, "corpus directory", Path.is_dir)
     ckpt_path = _existing(args.checkpoint, "checkpoint")
@@ -344,17 +329,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     }
     (out / "metrics.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
     (out / "predictions.csv").write_text(predictions_to_csv(result.predictions))
-    inputs = {**_hash_corpus(corpus), "checkpoint": _sha256_file(ckpt_path)}
-    artifacts = [out / "metrics.json", out / "predictions.csv"]
-    _write_manifest(out, "eval", _settings(args), [], inputs, artifacts)
     print(
         f"{args.split} {args.level}: accuracy {result.metrics.accuracy:.4f}, "
         f"macro-F1 {result.metrics.macro_f1:.4f} over {result.metrics.n_eval}"
     )
-    return 0
+    inputs = {**_hash_corpus(corpus), "checkpoint": _sha256_file(ckpt_path)}
+    return [out / "metrics.json", out / "predictions.csv"], [], inputs
 
 
-def cmd_study(args: argparse.Namespace) -> int:
+def cmd_study(args: argparse.Namespace) -> Written:
     out = args.out
     corpus = _existing(args.corpus, "corpus directory", Path.is_dir)
     _refuse_existing([out / "report.md"], args.force)
@@ -375,11 +358,8 @@ def cmd_study(args: argparse.Namespace) -> int:
         )
         inputs = {"corpus": _hash_corpus(corpus)}
 
-    settings = {**_settings(args), "lr": config.lr}
-    artifacts = [Path(result["report_md"]), Path(result["report_csv"])]
-    _write_manifest(out, f"study:{args.id}", settings, seeds, inputs, artifacts)
     print(f"{args.id} report: {result['report_md']}")
-    return 0
+    return [Path(result["report_md"]), Path(result["report_csv"])], seeds, inputs
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +482,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.out is None:
             raise UsageError("--out is required")
-        return args.func(args)
+        _write_manifest(args, args.func(args))
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -217,11 +217,8 @@ def train(
         (out_dir / "epochs.csv").write_text(epoch_log_to_csv(log))
         extras = {
             "class_names": list(sets.class_names),
-            "combo": config.combo,
             "segment_length": config.segment_length,
-            "schema": list(sets.normalizer.columns),
             "normalizer": sets.normalizer.to_json(),
-            "train_seed": config.seed,
             "split": {
                 "Train": [m.piece_id for m in sets.train],
                 "Valid": [m.piece_id for m in sets.valid],

@@ -362,6 +362,23 @@ def test_split_writes_csv_and_counts(corpus, tmp_path, capsys):
     assert (tmp_path / "splits.csv.manifest.json").is_file()
 
 
+def test_a_file_output_without_a_suffix_gets_its_manifest_beside_it(corpus, tmp_path, capsys):
+    perf, score = "corpus/pianist_00/piece_000__take0.mid", "scores/piece_000.mid"
+    runs = {
+        "pairs": ["align", "--perf", str(corpus / perf), "--score", str(corpus / score)],
+        "splits": ["split", "--registry", str(corpus / "registry.json")],
+    }
+    for name, argv in runs.items():
+        argv += ["--out", str(tmp_path / name)]
+        assert main(argv) == 0, name
+        assert (tmp_path / name).is_file()
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        assert manifest["artifacts"] == [name]
+        capsys.readouterr()
+        assert main(argv) == 1, name
+        assert "output exists" in capsys.readouterr().err
+
+
 def test_split_missing_registry_is_usage_error(tmp_path):
     argv = [
         "split", "--registry", str(tmp_path / "nope.json"),
@@ -389,7 +406,8 @@ def test_train_writes_checkpoint_and_log(trained, capsys):
     extras = header["extras"]
     assert len(extras["class_names"]) == 2
     assert extras["segment_length"] is None
-    assert extras["schema"] == list(features.resolve_schema("C5").columns)
+    assert extras["normalizer"]["columns"] == list(features.resolve_schema("C5").columns)
+    assert not {"schema", "combo", "train_seed"} & set(extras)
 
 
 def test_train_manifest_records_every_setting(trained):
@@ -1068,8 +1086,11 @@ def test_study_rejects_bad_id_and_seeds(corpus, tmp_path):
     assert main(base + ["--id", "study1", "--lr", "0"]) == 2
     assert main(base + ["--id", "study1", "--batch-size", "1"]) == 2
     assert main(base + ["--id", "study1", "--seeds", "1"]) == 2
+    assert main(base + ["--id", "study2", "--seeds", "1,1"]) == 2
     assert main(base + ["--id", "study3", "--corpus-b", str(corpus),
                         "--split-seeds", "7"]) == 2
+    assert main(base + ["--id", "study3", "--corpus-b", str(corpus),
+                        "--split-seeds", "7,7"]) == 2
 
 
 def test_study1_mini_sweep(long_corpus, tmp_path, capsys):

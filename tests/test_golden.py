@@ -1,5 +1,5 @@
-"""Pinned digests of a small synthetic corpus, its feature files and a
-desk model trained and evaluated on it.
+"""Pinned digests of a small synthetic corpus, its feature files, a desk
+model trained and evaluated on it, and the manifests the commands write.
 
 Reruns within one checkout are compared elsewhere; these digests are the
 check that fails when a change to the note representation, the MIDI
@@ -21,7 +21,7 @@ FEATURES_SHA256 = "8cca1b46e811a612759790ce819e632c18bce7ee6c6d1d7e6b12575e9dacd
 
 # 2-epoch desk train at --length 10, then eval at both levels
 TRAIN_SHA256 = {
-    "checkpoint.bin": "a60b3af04ff273b1d6285b0852dc78a36051406662110e438a973d8966bb9f7f",
+    "checkpoint.bin": "35bee6adaf1882ffe1cb177ca4a095d57c0467b64e3981de132a02ecb821f8fd",
     "epochs.csv": "3fd3224d83c993bf235e345ee145f1c07419b7aad34b134523d9e7c8bc63bc02",
 }
 EVAL_SHA256 = {
@@ -35,9 +35,20 @@ EVAL_SHA256 = {
     },
 }
 
+# manifest of each command, run with relative paths on the pinned corpus
+MANIFEST_SHA256 = {
+    "synth": "cdf0d3d6271cd980cda0f5b7f59b1b023d5052f764b45dc165efe4bf16d098bb",
+    "align": "4002dabe667b897dbca7afa095e0b7ff3a006f6a0e899e3cb21ec003027c2b37",
+    "extract": "30462b41fc9f191fe1222b8168c1875b0602c5f09d9bf4f78d862cb80c2166e2",
+    "split": "97d91c5def33c78db8834338e34d0ac5780b7f058964a6ae843e75492fe6312a",
+    "train": "8901a26e9d4a116a7ac491f4f38645dc7817b36c9e3754bf0f6703437fc25cb8",
+    "train --split-csv": "3dc84dcd0beea5fdf271640887d821f8009cb245c1e3433c8242e1a33d1bce5a",
+}
 
-def tree_digest(root) -> str:
-    return hashlib.sha256(json.dumps(tree_hashes(root), sort_keys=True).encode()).hexdigest()
+
+def tree_digest(root, skip=()) -> str:
+    hashes = {k: v for k, v in tree_hashes(root).items() if k not in skip}
+    return hashlib.sha256(json.dumps(hashes, sort_keys=True).encode()).hexdigest()
 
 
 def file_digests(root, names) -> dict:
@@ -72,3 +83,30 @@ def test_desk_train_and_eval_bytes_are_pinned(tmp_path):
         assert main(["eval", "--corpus", str(corpus), "--checkpoint", str(run / "checkpoint.bin"),
                      "--out", str(out), "--level", level]) == 0
         assert file_digests(out, pinned) == pinned, level
+
+
+def test_manifest_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runs = {
+        "synth": (["synth", "--out", "corpus", "--pianists", "2", "--pieces", "2",
+                   "--per-cell", "2", "--seed", "5", "--length-min", "20",
+                   "--length-max", "30"], "corpus/manifest.json"),
+        "align": (["align", "--perf", "corpus/corpus/pianist_00/piece_000__take0.mid",
+                   "--score", "corpus/scores/piece_000.mid", "--out", "pairs.tsv"],
+                  "pairs.tsv.manifest.json"),
+        "extract": (["extract", "--corpus", "corpus", "--out", "features"],
+                    "features/manifest.json"),
+        "split": (["split", "--registry", "corpus/registry.json", "--out", "splits.csv"],
+                  "splits.csv.manifest.json"),
+        "train": (["train", "--corpus", "corpus", "--out", "run", "--epochs", "1",
+                   "--length", "10"], "run/manifest.json"),
+        "train --split-csv": (["train", "--corpus", "corpus", "--split-csv", "splits.csv",
+                               "--out", "run_csv", "--epochs", "1", "--length", "10"],
+                              "run_csv/manifest.json"),
+    }
+    digests = {}
+    for name, (argv, manifest) in runs.items():
+        assert main(argv) == 0, name
+        digests[name] = hashlib.sha256((tmp_path / manifest).read_bytes()).hexdigest()
+    assert tree_digest(tmp_path / "corpus", skip={"manifest.json"}) == CORPUS_SHA256
+    assert digests == MANIFEST_SHA256
