@@ -126,17 +126,25 @@ def _segment_length(text: str) -> int | str:
     return length
 
 
-def _seed_list(text: str) -> list[int]:
-    """``--seeds``/``--split-seeds``: at least 2 distinct comma-separated integers."""
-    try:
-        seeds = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise UsageError(f"want comma-separated integers, got {text!r}") from None
-    if len(seeds) < 2:
-        raise UsageError(f"want at least 2 seeds, got {text!r}")
-    if len(set(seeds)) < len(seeds):
-        raise UsageError(f"want distinct seeds, got {text!r}")
-    return seeds
+def _seed_list(low: int | None = None):
+    """A ``type=`` for ``--seeds``/``--split-seeds``: at least 2 distinct
+    comma-separated integers, each at least ``low`` when it is given."""
+
+    def parse(text: str) -> list[int]:
+        try:
+            seeds = [int(part) for part in text.split(",") if part.strip()]
+        except ValueError:
+            raise UsageError(f"want comma-separated integers, got {text!r}") from None
+        if len(seeds) < 2:
+            raise UsageError(f"want at least 2 seeds, got {text!r}")
+        if len(set(seeds)) < len(seeds):
+            raise UsageError(f"want distinct seeds, got {text!r}")
+        if low is not None and min(seeds) < low:
+            raise UsageError(f"want seeds >= {low}, got {text!r}")
+        return seeds
+
+    parse.__name__ = "seed list"  # argparse names the type in its error
+    return parse
 
 
 def _at_least(low: int):
@@ -394,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "%(default)s; study1 sweeps its own)")
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
-    p.add_argument("--seed", type=int, default=0,
-                   help="root random seed (default %(default)s)")
+    p.add_argument("--seed", type=_at_least(0), default=0,
+                   help="root random seed, >= 0 (default %(default)s)")
     p.add_argument("--pianists", type=_at_least(2), default=6,
                    help="number of styles (default %(default)s)")
     p.add_argument("--pieces", type=_at_least(1), default=40,
@@ -432,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[common, fitting], help="run one training job")
     p.add_argument("--corpus", type=Path, help="corpus directory")
-    p.add_argument("--seed", type=int, default=TrainConfig.seed,
-                   help="training seed (default %(default)s)")
+    p.add_argument("--seed", type=_at_least(0), default=TrainConfig.seed,
+                   help="training seed, >= 0 (default %(default)s)")
     p.add_argument("--split-csv", type=Path, help="existing split assignment")
     p.add_argument("--split-seed", type=int, default=7,
                    help="derive the split from this seed unless --split-csv "
@@ -462,11 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the suite to run")
     p.add_argument("--corpus", type=Path, help="corpus directory")
     p.add_argument("--corpus-b", type=Path, help="second corpus (study3 only)")
-    p.add_argument("--seeds", type=_seed_list, default="1,2,3",
-                   help="training seeds for study1/study2 (default %(default)s)")
+    p.add_argument("--seeds", type=_seed_list(0), default="1,2,3",
+                   help="training seeds >= 0 for study1/study2 (default %(default)s)")
     p.add_argument("--split-seed", type=int, default=7,
                    help="split seed for study1/study2 (default %(default)s)")
-    p.add_argument("--split-seeds", type=_seed_list, default="101,102,103,104,105",
+    p.add_argument("--split-seeds", type=_seed_list(), default="101,102,103,104,105",
                    help="split seeds for study3 (default %(default)s)")
     p.set_defaults(func=cmd_study)
 

@@ -267,33 +267,54 @@ def _make_score(rng: np.random.Generator, n_notes: int) -> NoteList:
 
 def render_performance(score: NoteList, style: StyleConfig,
                        rng: np.random.Generator) -> NoteList:
-    """Apply one pianist's style transform to a score."""
+    """Apply one pianist's style transform to a score.
+
+    After one uniform draw for the tempo curve's phase, each score note
+    draws, in this order: a uniform for a miss; for a sounded note, two
+    normals (timing jitter, velocity) and a uniform for an extra note; for
+    an extra note, an integer for its pitch step and a uniform for its
+    onset shift. Only the draws run note by note; the arithmetic then runs
+    on arrays in the same float operations, so a generator state always
+    renders the same performance. Each extra note follows its note.
+    """
+    random, normal, integers, uniform = rng.random, rng.standard_normal, rng.integers, rng.uniform
+    missing_rate, extra_rate = style.missing_rate, style.extra_rate
     two_pi = 2 * math.pi
-    phase = rng.uniform(0, two_pi)
-
-    def warp(t: float) -> float:
-        return t + style.tempo_amplitude * math.sin(two_pi * t / style.tempo_period + phase)
-
-    rows = []  # (pitch, onset, offset, velocity)
-    for pitch, start, end, score_velocity in zip(
-        score.pitch.tolist(), score.onset.tolist(), score.offset.tolist(), score.velocity.tolist()
-    ):
-        if rng.random() < style.missing_rate:
+    phase = uniform(0, two_pi)
+    missed, noise, extras = [], [], []  # score rows; two normals per kept row; (row, step, shift)
+    put = noise.append
+    for k in range(len(score)):
+        if random() < missing_rate:
+            missed.append(k)
             continue
-        onset = warp(start) + style.timing_jitter * rng.standard_normal()
-        duration = (end - start) * style.articulation
-        velocity = int(round(score_velocity + style.velocity_bias
-                             + style.velocity_spread * rng.standard_normal()))
-        rows.append((pitch, max(0.0, onset), max(0.0, onset) + duration,
-                     min(max(velocity, 1), 127)))
-        if rng.random() < style.extra_rate:
-            # a brushed wrong note right next to the real one
-            wrong = int(pitch + rng.choice([-2, -1, 1, 2]))
-            extra_onset = max(0.0, onset + rng.uniform(-0.03, 0.03))
-            rows.append((min(max(wrong, 0), 127), extra_onset, extra_onset + duration * 0.5,
-                         min(max(velocity - 8, 1), 127)))
-    columns = np.array(rows, dtype=np.float64).reshape(-1, 4).T
-    return NoteList(*columns, ticks_per_quarter=score.ticks_per_quarter).sorted()
+        put(normal())
+        put(normal())
+        if random() < extra_rate:
+            extras.append((k, integers(0, 4), uniform(-0.03, 0.03)))
+
+    kept = np.delete(np.arange(len(score)), missed)
+    noise = np.array(noise).reshape(-1, 2)
+    start = score.onset[kept]
+    # math.sin per element: NumPy's vectorised sin need not round as libm's does
+    curve = np.array(list(map(math.sin, (two_pi * start / style.tempo_period + phase).tolist())))
+    onset = start + style.tempo_amplitude * curve + style.timing_jitter * noise[:, 0]
+    duration = (score.offset[kept] - start) * style.articulation
+    velocity = np.rint(score.velocity[kept] + style.velocity_bias
+                       + style.velocity_spread * noise[:, 1])
+    pitch = score.pitch[kept]
+    clamped = np.where(onset > 0.0, onset, 0.0)
+    rows = np.stack([pitch, clamped, clamped + duration, np.clip(velocity, 1, 127)], axis=1)
+
+    # a brushed wrong note right next to the real one
+    row, step, shift = np.array(extras).reshape(-1, 3).T
+    at = np.searchsorted(kept, row)  # the extra note's real note among the kept
+    extra_onset = onset[at] + shift
+    extra_onset = np.where(extra_onset > 0.0, extra_onset, 0.0)
+    wrong = pitch[at] + np.array([-2, -1, 1, 2])[step.astype(np.int64)]
+    extra = np.stack([np.clip(wrong, 0, 127), extra_onset, extra_onset + duration[at] * 0.5,
+                      np.clip(velocity[at] - 8, 1, 127)], axis=1)
+    rows = np.insert(rows, at + 1, extra, axis=0)
+    return NoteList(*rows.T, ticks_per_quarter=score.ticks_per_quarter).sorted()
 
 
 def synth_generate(styles: list[StyleConfig], n_pieces: int, perf_per_cell: int,

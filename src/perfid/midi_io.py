@@ -20,6 +20,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 DEFAULT_TEMPO = 500000  # microseconds per quarter note
+MAX_TICK = (1 << 28) - 1  # the largest delta a 4-byte variable-length quantity holds
+MAX_TEMPO = (1 << 24) - 1  # a tempo event holds 3 bytes
 COLUMNS = (("pitch", np.int64), ("onset", np.float64), ("offset", np.float64),
            ("velocity", np.int64), ("channel", np.int64))
 
@@ -120,15 +122,6 @@ def _read_varlen(data: bytes, pos: int, end: int) -> tuple[int, int]:
     raise MalformedHeader("variable-length quantity longer than 4 bytes")
 
 
-def _write_varlen(value: int) -> bytes:
-    chunks = [value & 0x7F]
-    value >>= 7
-    while value:
-        chunks.append((value & 0x7F) | 0x80)
-        value >>= 7
-    return bytes(reversed(chunks))
-
-
 class _TempoMap:
     """Piecewise-linear tick<->second conversion of whole arrays."""
 
@@ -150,9 +143,10 @@ class _TempoMap:
         return self.times[i] + elapsed * self.tempos[i] / (1e6 * self.tpq)
 
     def to_ticks(self, seconds: np.ndarray) -> np.ndarray:
+        """Nearest ticks as float64, so an out-of-range time stays visible."""
         i = np.maximum(np.searchsorted(self.times, seconds, side="right") - 1, 0)
         beats = (seconds - self.times[i]) * 1e6 * self.tpq / self.tempos[i]
-        return self.ticks[i] + np.rint(beats).astype(np.int64)
+        return self.ticks[i] + np.rint(beats)
 
 
 def _normalize_tempo_map(raw: dict[int, int]) -> list[tuple[int, int]]:
@@ -290,31 +284,63 @@ def write_midi(note_list: NoteList) -> bytes:
 
     Times are quantized back to ticks through the tempo map, so a
     parse(write(x)) round trip preserves pitch/velocity exactly and times
-    to within one tick.
+    to within one tick. The track is built from arrays: one row per tempo,
+    note-on and note-off event, sorted by (tick, tempo before off before
+    on, payload bytes), then each row's variable-length delta and payload
+    are kept through a byte mask into one buffer.
+
+    Raises ValueError, before building any byte, for ticks per quarter
+    outside [1, 0x7FFF], the first tempo outside [1, MAX_TEMPO] or at a
+    tick outside [0, MAX_TICK], and the first note whose on or off tick
+    falls outside [0, MAX_TICK]: a negative onset, or a time past what a
+    4-byte delta from tick 0 reaches (77 hours at 480 ticks per quarter
+    and the default tempo).
     """
     tpq = note_list.ticks_per_quarter
+    if not 1 <= tpq <= 0x7FFF:
+        raise ValueError(f"ticks per quarter {tpq} outside [1, 32767]")
     tmap = _TempoMap(_normalize_tempo_map(dict(note_list.tempo_map)), tpq)
-
-    # priority: tempo changes, then offs, then ons at equal ticks
-    events: list[tuple[int, int, bytes]] = []
-    for tick, tempo in tmap.entries:
-        events.append((tick, 0, bytes([0xFF, 0x51, 0x03]) + tempo.to_bytes(3, "big")))
+    bad = np.flatnonzero(~((tmap.tempos >= 1) & (tmap.tempos <= MAX_TEMPO)
+                           & (tmap.ticks >= 0) & (tmap.ticks <= MAX_TICK)))
+    if bad.size:
+        tick, tempo = tmap.entries[bad[0]]
+        raise ValueError(f"tempo {tempo} at tick {tick}: want [1, {MAX_TEMPO}] "
+                         f"at a tick in [0, {MAX_TICK}]")
     on = tmap.to_ticks(note_list.onset)
     off = np.maximum(tmap.to_ticks(note_list.offset), on + 1)
-    rows = zip(on.tolist(), off.tolist(), note_list.pitch.tolist(),
-               note_list.velocity.tolist(), note_list.channel.tolist())
-    for on_tick, off_tick, pitch, velocity, channel in rows:
-        events.append((on_tick, 2, bytes([0x90 | channel, pitch, velocity])))
-        events.append((off_tick, 1, bytes([0x80 | channel, pitch, 0])))
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
+    bad = np.flatnonzero(~((on >= 0) & (off <= MAX_TICK)))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"note {k} (onset {note_list.onset[k]} s, offset "
+                         f"{note_list.offset[k]} s) falls outside ticks [0, {MAX_TICK}]")
 
-    body = bytearray()
-    previous = 0
-    for tick, _, payload in events:
-        body += _write_varlen(tick - previous)
-        body += payload
-        previous = tick
-    body += _write_varlen(0) + bytes([0xFF, 0x2F, 0x00])
+    n, n_tempo = len(note_list), len(tmap.entries)
+    tick = np.concatenate([tmap.ticks, on.astype(np.int64), off.astype(np.int64)])
+    # priority: tempo changes, then offs, then ons at equal ticks
+    priority = np.repeat(np.array([0, 2, 1], dtype=np.uint8), [n_tempo, n, n])
+    payload = np.zeros((n_tempo + 2 * n, 6), dtype=np.uint8)
+    payload[:n_tempo, :3] = (0xFF, 0x51, 0x03)
+    payload[:n_tempo, 3:] = (tmap.tempos.astype(np.int64)[:, None] >> [16, 8, 0]) & 0xFF
+    payload[n_tempo:n_tempo + n, 0] = 0x90 | note_list.channel
+    payload[n_tempo + n:, 0] = 0x80 | note_list.channel
+    payload[n_tempo:, 1] = np.tile(note_list.pitch, 2)
+    payload[n_tempo:n_tempo + n, 2] = note_list.velocity
+    order = np.lexsort((payload[:, 2], payload[:, 1], payload[:, 0], priority, tick))
+    tick, payload = tick[order], payload[order]
+
+    # each event as 10 bytes, 4 of delta (7 bits each, most significant
+    # first) and 6 of payload; the mask keeps the delta's bytes from its
+    # highest nonzero one on, and the payload's length
+    delta = np.diff(tick, prepend=0)
+    rows = np.empty((len(tick), 10), dtype=np.uint8)
+    rows[:, :4] = (delta[:, None] >> [21, 14, 7, 0]) & 0x7F
+    rows[:, :3] |= 0x80
+    rows[:, 4:] = payload
+    keep = np.empty(rows.shape, dtype=bool)
+    keep[:, :4] = delta[:, None] >= [1 << 21, 1 << 14, 1 << 7, 0]  # least delta using each
+    keep[:, 4:7] = True
+    keep[:, 7:] = (order < n_tempo)[:, None]
+    body = rows[keep].tobytes() + bytes([0x00, 0xFF, 0x2F, 0x00])
 
     header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, tpq)
-    return header + b"MTrk" + struct.pack(">I", len(body)) + bytes(body)
+    return header + b"MTrk" + struct.pack(">I", len(body)) + body

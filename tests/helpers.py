@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import math
+import struct
 from bisect import bisect_right
 from pathlib import Path
 
@@ -98,6 +100,82 @@ def parse_per_note(data):
         Note(pitch, to_seconds(on), to_seconds(off), vel, ch)
         for on, off, pitch, vel, ch in raw_notes
     )
+
+
+def write_midi_loop(note_list):
+    """Reference for ``perfid.midi_io.write_midi`` on writable input: one
+    (tick, priority, payload) tuple per event, a keyed sort, and one
+    variable-length delta per event. The array writer sorts on the same
+    keys and encodes the same deltas, so the two must agree byte for byte.
+    """
+
+    def varlen(value):
+        chunks = [value & 0x7F]
+        value >>= 7
+        while value:
+            chunks.append((value & 0x7F) | 0x80)
+            value >>= 7
+        return bytes(reversed(chunks))
+
+    tpq = note_list.ticks_per_quarter
+    tmap = midi_io._TempoMap(midi_io._normalize_tempo_map(dict(note_list.tempo_map)), tpq)
+
+    # priority: tempo changes, then offs, then ons at equal ticks
+    events = []
+    for tick, tempo in tmap.entries:
+        events.append((tick, 0, bytes([0xFF, 0x51, 0x03]) + tempo.to_bytes(3, "big")))
+    on = tmap.to_ticks(note_list.onset).astype(np.int64)
+    off = np.maximum(tmap.to_ticks(note_list.offset).astype(np.int64), on + 1)
+    rows = zip(on.tolist(), off.tolist(), note_list.pitch.tolist(),
+               note_list.velocity.tolist(), note_list.channel.tolist())
+    for on_tick, off_tick, pitch, velocity, channel in rows:
+        events.append((on_tick, 2, bytes([0x90 | channel, pitch, velocity])))
+        events.append((off_tick, 1, bytes([0x80 | channel, pitch, 0])))
+    events.sort(key=lambda e: (e[0], e[1], e[2]))
+
+    body = bytearray()
+    previous = 0
+    for tick, _, payload in events:
+        body += varlen(tick - previous)
+        body += payload
+        previous = tick
+    body += varlen(0) + bytes([0xFF, 0x2F, 0x00])
+
+    header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, tpq)
+    return header + b"MTrk" + struct.pack(">I", len(body)) + bytes(body)
+
+
+def render_performance_loop(score, style, rng):
+    """Reference for ``perfid.dataset.render_performance``: style fields and
+    generator methods looked up on every note, and the wrong note drawn by
+    ``rng.choice``. The renderer makes the same draws in the same order, so
+    the two must agree bit for bit."""
+    two_pi = 2 * math.pi
+    phase = rng.uniform(0, two_pi)
+
+    def warp(t):
+        return t + style.tempo_amplitude * math.sin(two_pi * t / style.tempo_period + phase)
+
+    rows = []  # (pitch, onset, offset, velocity)
+    for pitch, start, end, score_velocity in zip(
+        score.pitch.tolist(), score.onset.tolist(), score.offset.tolist(), score.velocity.tolist()
+    ):
+        if rng.random() < style.missing_rate:
+            continue
+        onset = warp(start) + style.timing_jitter * rng.standard_normal()
+        duration = (end - start) * style.articulation
+        velocity = int(round(score_velocity + style.velocity_bias
+                             + style.velocity_spread * rng.standard_normal()))
+        rows.append((pitch, max(0.0, onset), max(0.0, onset) + duration,
+                     min(max(velocity, 1), 127)))
+        if rng.random() < style.extra_rate:
+            # a brushed wrong note right next to the real one
+            wrong = int(pitch + rng.choice([-2, -1, 1, 2]))
+            extra_onset = max(0.0, onset + rng.uniform(-0.03, 0.03))
+            rows.append((min(max(wrong, 0), 127), extra_onset, extra_onset + duration * 0.5,
+                         min(max(velocity - 8, 1), 127)))
+    columns = np.array(rows, dtype=np.float64).reshape(-1, 4).T
+    return NoteList(*columns, ticks_per_quarter=score.ticks_per_quarter).sorted()
 
 
 def random_alignment_instance(rng, max_notes=7, n_pitches=3):

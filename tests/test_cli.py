@@ -188,6 +188,12 @@ def test_synth_bad_counts_are_usage_errors(bad, tmp_path):
     assert not out.exists()
 
 
+def test_synth_negative_seed_is_usage_error_before_any_file(tmp_path):
+    out = tmp_path / "c"
+    assert main(["synth", "--out", str(out), "--seed", "-1"] + SMALL[:-2]) == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # align
 
@@ -451,6 +457,17 @@ def test_train_bad_length_is_usage_error(corpus, tmp_path):
         "--length", "sometimes",
     ]
     assert main(argv) == 2
+
+
+def test_train_negative_seed_is_usage_error_before_extraction(corpus, tmp_path,
+                                                               monkeypatch):
+    def extract_corpus(*args, **kwargs):
+        raise AssertionError("the corpus was extracted before the seed was checked")
+
+    monkeypatch.setattr(pipeline, "extract_corpus", extract_corpus)
+    out = tmp_path / "t"
+    assert main(["train", "--corpus", str(corpus), "--out", str(out), "--seed", "-1"]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--lr", "--weight-decay"])
@@ -1091,6 +1108,9 @@ def test_study_rejects_bad_id_and_seeds(corpus, tmp_path):
                         "--split-seeds", "7"]) == 2
     assert main(base + ["--id", "study3", "--corpus-b", str(corpus),
                         "--split-seeds", "7,7"]) == 2
+    assert main(base + ["--id", "study2", "--seeds=-1,2"]) == 2
+    assert main(base + ["--id", "study1", "--seeds=1,-2"]) == 2
+    assert not (tmp_path / "s").exists()
 
 
 def test_study1_mini_sweep(long_corpus, tmp_path, capsys):

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import note_list
+from helpers import note_list, render_performance_loop
+from perfid import dataset
 from perfid.dataset import (
     InvalidStyleConfig,
     MalformedSplitCsv,
@@ -217,6 +218,27 @@ def test_missing_and_extra_rates_change_counts():
     assert len(thinned.notes) < 150
     padded = render_performance(score, StyleConfig(extra_rate=0.5), np.random.default_rng(3))
     assert len(padded.notes) > 250
+
+
+# a wrong note on about every second sounded note, so the step draw runs often
+BUSY_STYLE = StyleConfig(velocity_bias=3.0, velocity_spread=5.0, tempo_amplitude=0.03,
+                         tempo_period=9.0, timing_jitter=0.02, articulation=0.8,
+                         extra_rate=0.5, missing_rate=0.3)
+
+
+@pytest.mark.parametrize("styles", [default_styles(), hard_styles(), [BUSY_STYLE]],
+                         ids=["default", "hard", "busy"])
+def test_render_matches_the_per_note_loop(styles):
+    empty = note_list([])
+    for seed in range(24):
+        rng = np.random.default_rng([seed, 3])
+        score = empty if seed == 0 else dataset._make_score(rng, int(rng.integers(1, 400)))
+        style = styles[seed % len(styles)]
+        got = render_performance(score, style, np.random.default_rng(seed))
+        want = render_performance_loop(score, style, np.random.default_rng(seed))
+        for name in ("pitch", "onset", "offset", "velocity", "channel"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (seed, name)
+        assert got.ticks_per_quarter == want.ticks_per_quarter
 
 
 def test_synth_generate_layout(tmp_path):

@@ -1,5 +1,6 @@
-"""Pinned digests of a small synthetic corpus, its feature files, a desk
-model trained and evaluated on it, and the manifests the commands write.
+"""Pinned digests of two small synthetic corpora (easy and hard styles), the
+easy one's feature files, a desk model trained and evaluated on it, and
+the manifests the commands write.
 
 Reruns within one checkout are compared elsewhere; these digests are the
 check that fails when a change to the note representation, the MIDI
@@ -18,6 +19,8 @@ from perfid.experiment import pipeline
 
 CORPUS_SHA256 = "31dd582ea928a3269a97362861627410fba1f4f69b81ab1a6a1c2e74184fecbf"
 FEATURES_SHA256 = "8cca1b46e811a612759790ce819e632c18bce7ee6c6d1d7e6b12575e9dacd8b5"
+# hard styles at a 3 % extra rate: 51 wrong-note draws over 8 takes of 300 notes
+HARD_CORPUS_SHA256 = "2aeb0c273604e11a67777d8409fe9689e56fa4851d743ef73e756352c8d1fc70"
 
 # 2-epoch desk train at --length 10, then eval at both levels
 TRAIN_SHA256 = {
@@ -69,6 +72,13 @@ def test_corpus_and_feature_bytes_are_pinned(tmp_path):
         features.save_features(matrix, out / f"{rec_id}.f32")
     assert tree_digest(corpus) == CORPUS_SHA256
     assert tree_digest(out) == FEATURES_SHA256
+
+
+def test_hard_style_corpus_bytes_are_pinned(tmp_path):
+    # 2 hard styles x 2 pieces x 2 takes of 300 notes
+    dataset.synth_generate(dataset.hard_styles(2), n_pieces=2, perf_per_cell=2,
+                           seed=5, out_dir=tmp_path, length_range=(300, 300))
+    assert tree_digest(tmp_path) == HARD_CORPUS_SHA256
 
 
 def test_desk_train_and_eval_bytes_are_pinned(tmp_path):

@@ -1,17 +1,24 @@
 """Tests for SMF parsing, serialization, and the tempo map."""
 
+import os
 import random
 import re
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import from_notes, parse_per_note
+import perfid
+from helpers import from_notes, parse_per_note, write_midi_loop
 from perfid.midi_io import (
     DEFAULT_TEMPO,
+    MAX_TEMPO,
     MalformedHeader,
     Note,
     NoteList,
@@ -351,3 +358,62 @@ def test_round_trip_keeps_tempo_map():
     source = from_notes(notes, tempo_map=[(0, 500000), (480, 250000)])
     result = parse_midi(write_midi(source))
     assert result.tempo_map == [(0, 500000), (480, 250000)]
+
+
+@st.composite
+def writable_note_lists(draw):
+    """Lists every tick of which fits a 4-byte delta: several channels, notes
+    on one grid (equal ticks across channels), offsets that quantize onto
+    their onset, late notes that need 2- to 4-byte deltas, and tempo maps
+    with several entries, with or without one at tick 0."""
+    tempos = st.integers(50_000, MAX_TEMPO)
+    tempo_map = dict(draw(st.lists(st.tuples(st.integers(0, 10**6), tempos), max_size=4)))
+    n = draw(st.integers(0, 40))
+    onset = draw(st.lists(st.one_of(st.integers(0, 40).map(lambda k: 0.125 * k),
+                                    st.floats(0, 10_000)), min_size=n, max_size=n))
+    length = draw(st.lists(st.one_of(st.just(1e-6), st.floats(1e-6, 3.0)),
+                           min_size=n, max_size=n))
+    columns = [draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+               for lo, hi in ((0, 127), (1, 127), (0, 15))]
+    offset = [t + d for t, d in zip(onset, length)]
+    return NoteList(columns[0], onset, offset, *columns[1:],
+                    ticks_per_quarter=draw(st.sampled_from([96, 480, 960])),
+                    tempo_map=sorted(tempo_map.items()))
+
+
+@given(writable_note_lists())
+@settings(max_examples=300, deadline=None)
+def test_writer_matches_the_per_event_loop(note_list):
+    assert write_midi(note_list) == write_midi_loop(note_list)
+
+
+def test_writer_matches_the_per_event_loop_on_the_empty_list():
+    empty = NoteList([], [], [], [])
+    assert write_midi(empty) == write_midi_loop(empty)
+    assert len(parse_midi(write_midi(empty))) == 0
+
+
+@pytest.mark.parametrize("notes, expected", [
+    ("NoteList([60], [-1.0], [0.5], [64])", "onset -1.0 s"),
+    ("NoteList([60], [0.0], [0.5], [64], tempo_map=[(0, 0)])", "tempo 0 at tick 0"),
+    ("NoteList([60], [0.0], [0.5], [64], tempo_map=[(0, 1 << 24)])", "tempo 16777216"),
+    ("NoteList([60], [600000.0], [600000.5], [64])", "onset 600000.0 s"),
+    ("NoteList([60], [0.0], [0.5], [64], ticks_per_quarter=0)", "ticks per quarter 0"),
+], ids=["negative-onset", "zero-tempo", "tempo-2^24", "note-at-600000s", "zero-division"])
+def test_writer_refuses_what_it_cannot_write(notes, expected):
+    # in a child process, so a writer that loops forever fails here rather than hangs
+    code = textwrap.dedent(f"""
+        from perfid.midi_io import NoteList, write_midi
+        try:
+            write_midi({notes})
+        except ValueError as exc:
+            print(type(exc).__name__, exc)
+        else:
+            print("wrote a file")
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": str(Path(perfid.__file__).parents[1])},
+    )
+    assert proc.stdout.startswith("ValueError ") and expected in proc.stdout, (
+        proc.stdout, proc.stderr)
