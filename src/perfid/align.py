@@ -35,6 +35,7 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .midi_io import NoteList
 
@@ -42,6 +43,7 @@ SKIP_PENALTY = 1.0
 MAX_REFINEMENTS = 2  # time-map refits after the first DP pass in one convergence
 OFFSET_WINDOW = 0.4  # seconds; width of an anchor-offset plateau
 MAX_OFFSET_CANDIDATES = 8
+DP_BLOCK = 128  # DP rows whose match costs are built at once
 
 
 class EmptyInput(ValueError):
@@ -144,11 +146,16 @@ def _dp_match(
     ``bound`` is the cost of some monotone matching under this map. Only
     the diagonals that a path within the bound (plus one skip of slack
     against rounding) can reach are computed; see the module docstring.
-    In-band cells use the dense recurrence's float operations in the same
-    order, and every cell a path within the bound visits holds its dense
-    value, so the pairs equal the full table's. ``table`` is float64
-    scratch of at least (n + 1) * (m + 3) values; only the band's share
-    of it is written.
+    Cell (i, j) holds ``dp(i, j) - (i + j) * SKIP_PENALTY``, where ``dp``
+    is the dense table's cost of matching the first i performance and j
+    score notes. Under that shift both skips cost 0 and a match costs its
+    onset distance minus two skips, so a row is a diagonal add, a minimum
+    with the row above and a running minimum for the left neighbour. The
+    values equal ``dp - i - j`` up to rounding, every cell a path within
+    the bound visits is in the band, and the backtrack's tolerance absorbs
+    the rounding, so the pairs equal the dense table's. ``table`` is
+    float64 scratch of at least (n + 1) * (m + 3) values; only the band's
+    share of it is written.
     """
     n, m = len(perf_on), len(score_mapped)
     diff = n - m
@@ -157,60 +164,66 @@ def _dp_match(
     w = min(m + 1, d_hi - (min(0, diff) - half) + 1)
     # row i holds columns [start[i], start[i] + w) in slots 1..w; slots 0
     # and w + 1 are inf sentinels, so out-of-band neighbours read as inf
-    start = np.clip(np.arange(n + 1) - d_hi, 0, m + 1 - w).tolist()
-    dp = table[: (n + 1) * (w + 2)].reshape(n + 1, w + 2)
-    dp[:, 0] = np.inf
-    dp[:, w + 1] = np.inf
-    col = np.arange(m + 1, dtype=np.float64) * SKIP_PENALTY
-    dp[0, 1 : w + 1] = col[:w]
+    start = np.clip(np.arange(n + 1) - d_hi, 0, m + 1 - w)
+    flat = table[: (n + 1) * (w + 2)]
+    f = flat.reshape(n + 1, w + 2)
+    f[:, 0] = np.inf
+    f[:, w + 1] = np.inf
+    f[0, 1 : w + 1] = 0.0
+    # every w-value window of the flat table, so each row operand is one
+    # lookup: row i's band starts at offset i * (w + 2) + 1, its diagonal
+    # neighbours w + 3 - (start[i] - start[i - 1]) before that, and its
+    # vertical neighbours one slot after those
+    band = sliding_window_view(flat, w, writeable=True)
+    row_at = np.arange(1, n + 1) * (w + 2) + 1
+    diag_at = (row_at - (w + 3) + np.diff(start)).tolist()
+    row_at = row_at.tolist()
 
-    # slot j holds score note j - 1 where its pitch is the lane's and inf
-    # elsewhere, so |onset - slot| is the dense match cost; slot 0 never matches
-    lanes = {
-        p: np.concatenate(([np.inf], np.where(score_pitch == p, score_mapped, np.inf)))
-        for p in np.unique(perf_pitch).tolist()
-    }
-    skip = np.full(w, SKIP_PENALTY)
-    cand = np.empty(w)
-    diag = np.empty(w)
-    for i, (onset, pitch) in enumerate(zip(perf_on.tolist(), perf_pitch.tolist()), 1):
-        lo = start[i]
-        shift = lo - start[i - 1]  # 0 or 1
-        prev = dp[i - 1]
-        np.add(prev[1 + shift : 1 + shift + w], skip, out=cand)  # skip performance note i-1
-        np.subtract(onset, lanes[pitch][lo : lo + w], out=diag)
-        np.abs(diag, out=diag)
-        np.add(prev[shift : shift + w], diag, out=diag)  # diagonal match
-        np.minimum(cand, diag, out=cand)
-        # fold in the left-neighbour skip via a running minimum
-        band_col = col[lo : lo + w]
-        np.subtract(cand, band_col, out=cand)
-        row = dp[i, 1 : w + 1]
-        np.fmin.accumulate(cand, out=row)  # minimum's values (no NaN), faster
-        np.add(row, band_col, out=row)
+    # lane k, slot j holds score note j - 1 where its pitch is the k-th
+    # performance pitch and inf elsewhere, so |onset - slot| is the dense
+    # match cost (the rows add it less two skips); slot 0 never matches
+    pitches, lane_of = np.unique(perf_pitch, return_inverse=True)
+    lanes = np.full((len(pitches), m + 1), np.inf)
+    np.copyto(lanes[:, 1:], score_mapped, where=score_pitch == pitches[:, None])
+    windows = sliding_window_view(lanes, w, axis=1)
+    for lo in range(0, n, DP_BLOCK):
+        hi = min(n, lo + DP_BLOCK)
+        match = windows[lane_of[lo:hi], start[lo + 1 : hi + 1]]  # rows lo + 1 .. hi
+        np.subtract(perf_on[lo:hi, None], match, out=match)
+        np.abs(match, out=match)
+        np.subtract(match, 2 * SKIP_PENALTY, out=match)
+        for r, d, cost in zip(row_at[lo:hi], diag_at[lo:hi], match):
+            row = band[r]
+            np.add(band[d], cost, out=row)
+            np.minimum(row, band[d + 1], out=row)
+            np.fmin.accumulate(row, out=row)  # minimum's values (no NaN), faster
 
-    def cell(i: int, j: int) -> float:
-        return dp.item(i, j - start[i] + 1)
-
-    # the running-minimum formulation reassociates float sums, so backtrack
-    # with a tolerance far below any meaningful cost difference
-    tol = 1e-9 * max(1.0, cell(n, m))
+    # the shifted values round differently from the dense recurrence's, so
+    # backtrack with a tolerance far below any meaningful cost difference
+    start = start.tolist()
+    here = f.item(n, m - start[n] + 1)
+    tol = 1e-9 * max(1.0, here + (n + m) * SKIP_PENALTY)
     perf_t, score_t = perf_on.tolist(), score_mapped.tolist()
     perf_p, score_p = perf_pitch.tolist(), score_pitch.tolist()
     pairs: list[tuple[int, int]] = []
     i, j = n, m
     while i > 0 and j > 0:
-        here = cell(i, j)
-        if perf_p[i - 1] == score_p[j - 1] and (
-            here >= cell(i - 1, j - 1) + abs(perf_t[i - 1] - score_t[j - 1]) - tol
-        ):
-            pairs.append((i - 1, j - 1))
+        up = j - start[i - 1] + 1  # column j's slot in row i - 1
+        if perf_p[i - 1] == score_p[j - 1]:
+            diag = f.item(i - 1, up - 1)
+            if here >= diag + (abs(perf_t[i - 1] - score_t[j - 1]) - 2 * SKIP_PENALTY) - tol:
+                pairs.append((i - 1, j - 1))
+                i -= 1
+                j -= 1
+                here = diag
+                continue
+        above = f.item(i - 1, up)
+        if here >= above - tol:
             i -= 1
-            j -= 1
-        elif here >= cell(i - 1, j) + SKIP_PENALTY - tol:
-            i -= 1
+            here = above
         else:
             j -= 1
+            here = f.item(i, j - start[i] + 1)
     pairs.reverse()
     return pairs
 

@@ -113,6 +113,10 @@ def _with_ids(records: list, ids, what: str) -> list:
     return chosen
 
 
+# The ``type=`` parsers raise ArgumentTypeError, whose message argparse
+# prints; it replaces any other ValueError's with "invalid <type> value".
+
+
 def _segment_length(text: str) -> int | str:
     """``--length``: a number of notes, or ``full`` for whole pieces."""
     if text.strip().lower() == "full":
@@ -120,9 +124,9 @@ def _segment_length(text: str) -> int | str:
     try:
         length = int(text)
     except ValueError:
-        raise UsageError(f"--length wants an integer or 'full', got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"want an integer or 'full', got {text!r}") from None
     if length < 2:
-        raise UsageError(f"--length wants at least 2 notes, got {length}")
+        raise argparse.ArgumentTypeError(f"want at least 2 notes, got {length}")
     return length
 
 
@@ -134,16 +138,16 @@ def _seed_list(low: int | None = None):
         try:
             seeds = [int(part) for part in text.split(",") if part.strip()]
         except ValueError:
-            raise UsageError(f"want comma-separated integers, got {text!r}") from None
+            raise argparse.ArgumentTypeError(
+                f"want comma-separated integers, got {text!r}") from None
         if len(seeds) < 2:
-            raise UsageError(f"want at least 2 seeds, got {text!r}")
+            raise argparse.ArgumentTypeError(f"want at least 2 seeds, got {text!r}")
         if len(set(seeds)) < len(seeds):
-            raise UsageError(f"want distinct seeds, got {text!r}")
+            raise argparse.ArgumentTypeError(f"want distinct seeds, got {text!r}")
         if low is not None and min(seeds) < low:
-            raise UsageError(f"want seeds >= {low}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"want seeds >= {low}, got {text!r}")
         return seeds
 
-    parse.__name__ = "seed list"  # argparse names the type in its error
     return parse
 
 
@@ -153,10 +157,10 @@ def _at_least(low: int):
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
-            raise UsageError(f"want an integer >= {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"want an integer >= {low}, got {value}")
         return value
 
-    parse.__name__ = f"integer >= {low}"  # argparse names the type in its error
+    parse.__name__ = f"integer >= {low}"  # argparse names the type when int() fails
     return parse
 
 

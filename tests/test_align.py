@@ -174,6 +174,33 @@ def test_banded_dp_equals_dense_reference():
                 assert got == want, (k, (ma, mb), bound)
 
 
+@pytest.mark.parametrize("n, m", [(127, 90), (128, 200), (129, 129), (257, 140), (257, 400)])
+def test_banded_dp_equals_dense_reference_on_misfit_takes(n, m):
+    # A performance aligned against another piece's score: its cheapest
+    # path skips most notes, so even a tight bound nears n + m and the band
+    # spans most diagonals or is clipped to the table. Row counts straddle
+    # the DP's blocks of match-cost rows.
+    rng = np.random.default_rng([n, m, 11])
+    played = dataset._make_score(rng, n + 20)
+    perf = dataset.render_performance(played, dataset.hard_styles(2)[n % 2], rng)
+    perf_on, perf_pitch = (x[:n] for x in note_arrays(perf))
+    score_on, score_pitch = note_arrays(dataset._make_score(rng, m))
+    lanes = perfid.align._score_lanes(score_on, score_pitch, perf_pitch)
+    stretch = perf_on[-1] / score_on[-1]  # both takes end together
+    for a, b in ((1.0, 0.0), (stretch, 0.0), (1.15, -0.4)):
+        mapped = a * score_on + b
+        want = dense_dp_pairs(perf_on, perf_pitch, mapped, score_pitch)
+        greedy = perfid.align._greedy_path(perf_on, lanes, a, b)
+        for bound in (
+            perfid.align._path_cost(want, perf_on, mapped),
+            perfid.align._path_cost(greedy, perf_on, mapped),
+            n + m,
+        ):
+            table = np.empty((n + 1) * (m + 3))
+            got = perfid.align._dp_match(perf_on, perf_pitch, mapped, score_pitch, bound, table)
+            assert got == want, ((a, b), bound)
+
+
 def test_no_time_map_is_solved_twice(monkeypatch):
     rng = np.random.default_rng([0, 600])
     score = dataset._make_score(rng, 600)

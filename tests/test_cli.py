@@ -194,6 +194,24 @@ def test_synth_negative_seed_is_usage_error_before_any_file(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["study", "--id", "study2", "--seeds", "1,1"], "--seeds: want distinct seeds"),
+    (["study", "--id", "study1", "--seeds=1,-2"], "--seeds: want seeds >= 0"),
+    (["study", "--id", "study1", "--seeds", "1,x"], "--seeds: want comma-separated integers"),
+    (["study", "--id", "study3", "--split-seeds", "5"], "--split-seeds: want at least 2 seeds"),
+    (["synth", "--seed", "-1"], "--seed: want an integer >= 0, got -1"),
+    (["synth", "--pianists", "1"], "--pianists: want an integer >= 2, got 1"),
+    (["train", "--length", "1"], "--length: want at least 2 notes, got 1"),
+    (["train", "--length", "sometimes"], "--length: want an integer or 'full'"),
+], ids=["repeated-seed", "negative-seed", "non-integer-seed", "one-split-seed",
+        "negative-synth-seed", "one-pianist", "short-length", "word-length"])
+def test_flag_value_errors_name_the_reason(argv, reason, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"argument {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # align
 

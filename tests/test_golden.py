@@ -1,6 +1,6 @@
-"""Pinned digests of two small synthetic corpora (easy and hard styles), the
-easy one's feature files, a desk model trained and evaluated on it, and
-the manifests the commands write.
+"""Pinned digests of two small synthetic corpora (easy and hard styles),
+the feature files of each, a desk model trained and evaluated on the easy
+one, and the manifests the commands write.
 
 Reruns within one checkout are compared elsewhere; these digests are the
 check that fails when a change to the note representation, the MIDI
@@ -21,6 +21,8 @@ CORPUS_SHA256 = "31dd582ea928a3269a97362861627410fba1f4f69b81ab1a6a1c2e74184fecb
 FEATURES_SHA256 = "8cca1b46e811a612759790ce819e632c18bce7ee6c6d1d7e6b12575e9dacd8b5"
 # hard styles at a 3 % extra rate: 51 wrong-note draws over 8 takes of 300 notes
 HARD_CORPUS_SHA256 = "2aeb0c273604e11a67777d8409fe9689e56fa4851d743ef73e756352c8d1fc70"
+# its feature files: extracting them runs 16 banded DP passes
+HARD_FEATURES_SHA256 = "818316ab0f22bb7522fc3d0a22abba8a4f1944ef0eda3f7430a95df6c25acea2"
 
 # 2-epoch desk train at --length 10, then eval at both levels
 TRAIN_SHA256 = {
@@ -74,11 +76,26 @@ def test_corpus_and_feature_bytes_are_pinned(tmp_path):
     assert tree_digest(out) == FEATURES_SHA256
 
 
-def test_hard_style_corpus_bytes_are_pinned(tmp_path):
+def synth_hard_corpus(corpus):
     # 2 hard styles x 2 pieces x 2 takes of 300 notes
-    dataset.synth_generate(dataset.hard_styles(2), n_pieces=2, perf_per_cell=2,
-                           seed=5, out_dir=tmp_path, length_range=(300, 300))
+    return dataset.synth_generate(dataset.hard_styles(2), n_pieces=2, perf_per_cell=2,
+                                  seed=5, out_dir=corpus, length_range=(300, 300))
+
+
+def test_hard_style_corpus_bytes_are_pinned(tmp_path):
+    synth_hard_corpus(tmp_path)
     assert tree_digest(tmp_path) == HARD_CORPUS_SHA256
+
+
+def test_hard_style_feature_bytes_are_pinned(tmp_path):
+    # the wrong notes make align run DP passes where clean takes certify
+    corpus, out = tmp_path / "corpus", tmp_path / "features"
+    records = synth_hard_corpus(corpus)
+    out.mkdir()
+    for rec_id, matrix in pipeline.extract_corpus(records, corpus).items():
+        features.save_features(matrix, out / f"{rec_id}.f32")
+    assert tree_digest(corpus) == HARD_CORPUS_SHA256
+    assert tree_digest(out) == HARD_FEATURES_SHA256
 
 
 def test_desk_train_and_eval_bytes_are_pinned(tmp_path):
