@@ -8,9 +8,9 @@
   passes run near-full bands.
 
 Prints the summed ``align`` wall time, the total DP passes, and one
-SHA-256 over every ``Alignment``'s pairs and time map. Two checkouts
-that print the same digest and pass count aligned every take alike;
-run it in each:
+SHA-256 over every ``Alignment``'s matched index pairs (one int64 row
+per pair) and time map. Two checkouts that print the same digest and
+pass count aligned every take alike; run it in each:
 
     PYTHONPATH=src python scripts/align_probe.py
 """
@@ -50,7 +50,7 @@ def main() -> int:
         result = align(perf, score)
         seconds += time.perf_counter() - t0
         passes += result.dp_passes
-        digest.update(np.asarray(result.pairs, dtype=np.int64).reshape(-1, 2).tobytes())
+        digest.update(np.column_stack((result.perf_idx, result.score_idx)).tobytes())
         digest.update(struct.pack("<2d", *result.time_map))
     print(f"align_s {seconds:.3f}")
     print(f"dp_passes {passes}")

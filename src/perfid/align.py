@@ -32,7 +32,7 @@ path usually is.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -55,51 +55,40 @@ class ZeroNotes(ValueError):
 
 
 class IndexMismatch(IndexError):
-    """Alignment indices do not fit the given note lists."""
+    """An alignment index outside its note count, or note lists that do not fit."""
 
 
-@dataclass
+@dataclass(eq=False)
 class Alignment:
-    """Matched index pairs plus missing/extra classifications.
+    """Matched note indices of one performance against one score.
 
-    ``pairs`` maps performance note indices to score note indices, one to
-    one and monotonic. ``missing`` holds unmatched score indices,
-    ``extra`` unmatched performance indices. ``n_p`` is the performance
-    note count and ``n_e`` the extra-note count.
+    Row k of ``perf_idx`` and ``score_idx`` (int64) is one matched pair;
+    both columns strictly increase, so the matching is one to one and
+    monotonic. ``n_perf`` and ``n_score`` count the notes on each side;
+    unmatched performance notes are extra and unmatched score notes
+    missing. Construction raises ValueError for columns that are not 1-D,
+    of one length and strictly increasing, and IndexMismatch for an index
+    outside ``[0, n)``.
     """
 
-    pairs: list[tuple[int, int]]
-    missing: list[int]
-    extra: list[int]
-    n_p: int = field(default=0)
-    n_e: int = field(default=0)
+    perf_idx: np.ndarray
+    score_idx: np.ndarray
+    n_perf: int
+    n_score: int
     time_map: tuple[float, float] | None = None  # (a, b) the matcher settled on
     seed: str | None = None  # "least-squares", "consensus" or "offset"
     dp_passes: int = 0  # DP passes the matcher ran
 
     def __post_init__(self):
-        if self.n_p == 0:
-            self.n_p = len(self.pairs) + len(self.extra)
-        if self.n_e == 0:
-            self.n_e = len(self.extra)
-        self.validate()
-
-    def validate(self) -> None:
-        perf_idx = [p for p, _ in self.pairs]
-        score_idx = [s for _, s in self.pairs]
-        if len(set(perf_idx)) != len(perf_idx) or len(set(score_idx)) != len(score_idx):
-            raise ValueError("alignment pairs are not one-to-one")
-        if set(perf_idx) & set(self.extra):
-            raise ValueError("performance index both paired and extra")
-        if set(score_idx) & set(self.missing):
-            raise ValueError("score index both paired and missing")
-        ordered = sorted(self.pairs, key=lambda ps: ps[1])
-        if any(a[0] >= b[0] for a, b in zip(ordered, ordered[1:])):
-            raise ValueError("alignment is not monotonic")
-        if self.n_e != len(self.extra):
-            raise ValueError("n_e does not equal |extra|")
-        if self.n_p != len(self.pairs) + len(self.extra):
-            raise ValueError("n_p does not equal |pairs| + |extra|")
+        self.perf_idx = np.asarray(self.perf_idx, dtype=np.int64)
+        self.score_idx = np.asarray(self.score_idx, dtype=np.int64)
+        if self.perf_idx.ndim != 1 or self.perf_idx.shape != self.score_idx.shape:
+            raise ValueError("alignment index columns must be 1-D arrays of one length")
+        for idx, n in ((self.perf_idx, self.n_perf), (self.score_idx, self.n_score)):
+            if np.any(np.diff(idx) <= 0):
+                raise ValueError("alignment pairs are not one-to-one and monotonic")
+            if idx.size and (idx[0] < 0 or idx[-1] >= n):
+                raise IndexMismatch(f"alignment index outside [0, {n})")
 
 
 def fit_time_map(score_onsets, perf_onsets) -> tuple[float, float]:
@@ -469,52 +458,26 @@ def align(perf: NoteList, score: NoteList) -> Alignment:
                 seed, pairs, a, b = name, alt_pairs, a1, b1
 
     idx = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return Alignment(
-        pairs=pairs,
-        missing=np.delete(np.arange(m), idx[:, 1]).tolist(),
-        extra=np.delete(np.arange(n), idx[:, 0]).tolist(),
-        time_map=(a, b),
-        seed=seed,
-        dp_passes=passes,
-    )
-
-
-def alignment_cost(alignment: Alignment, perf: NoteList, score: NoteList) -> float:
-    """Cost of a given alignment under the DP objective (used by tests)."""
-    filter_matched(alignment, perf, score)  # bounds check
-    a, b = alignment.time_map
-    return _path_cost(alignment.pairs, perf.onset, a * score.onset + b)
+    return Alignment(idx[:, 0], idx[:, 1], n, m, time_map=(a, b), seed=seed, dp_passes=passes)
 
 
 def info_loss(alignment: Alignment) -> float:
     """Percentage of performance notes that are extra, in [0, 100]."""
-    if alignment.n_p == 0:
+    if alignment.n_perf == 0:
         raise ZeroNotes("information loss needs at least one performance note")
-    return alignment.n_e / alignment.n_p * 100.0
-
-
-def filter_matched(
-    alignment: Alignment, perf: NoteList, score: NoteList
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matched performance and score note indices in performance onset order."""
-    idx = np.array(sorted(alignment.pairs), dtype=np.int64).reshape(-1, 2)
-    bad = np.flatnonzero((idx[:, 0] >= len(perf)) | (idx[:, 1] >= len(score)))
-    if bad.size:
-        raise IndexMismatch(f"pair {tuple(idx[bad[0]].tolist())} out of bounds")
-    if alignment.extra and max(alignment.extra) >= len(perf):
-        raise IndexMismatch("extra index out of bounds")
-    if alignment.missing and max(alignment.missing) >= len(score):
-        raise IndexMismatch("missing index out of bounds")
-    return idx[:, 0], idx[:, 1]
+    return (alignment.n_perf - len(alignment.perf_idx)) / alignment.n_perf * 100.0
 
 
 def export_alignment(alignment: Alignment, perf: NoteList, score: NoteList) -> str:
     """Alignment as TSV: one row per performance note, then missing rows.
 
-    Unmatched sides carry ``*``.
+    Unmatched sides carry ``*``. Raises IndexMismatch for note lists
+    whose lengths differ from the alignment's counts.
     """
-    filter_matched(alignment, perf, score)  # bounds check
-    score_for_perf = dict(alignment.pairs)
+    if (len(perf), len(score)) != (alignment.n_perf, alignment.n_score):
+        raise IndexMismatch(f"{len(perf)} and {len(score)} notes for an alignment of "
+                            f"{alignment.n_perf} and {alignment.n_score}")
+    score_for_perf = dict(zip(alignment.perf_idx.tolist(), alignment.score_idx.tolist()))
     score_on, score_pitch = score.onset.tolist(), score.pitch.tolist()
 
     def score_cells(j: int | None) -> str:
@@ -524,6 +487,6 @@ def export_alignment(alignment: Alignment, perf: NoteList, score: NoteList) -> s
     out.write("perf_id\tperf_onset\tperf_pitch\tscore_id\tscore_onset\tscore_pitch\n")
     for i, (onset, pitch) in enumerate(zip(perf.onset.tolist(), perf.pitch.tolist())):
         out.write(f"{i}\t{onset:.6f}\t{pitch}\t{score_cells(score_for_perf.get(i))}\n")
-    for j in alignment.missing:
+    for j in np.delete(np.arange(len(score)), alignment.score_idx).tolist():
         out.write(f"*\t*\t*\t{score_cells(j)}\n")
     return out.getvalue()

@@ -225,9 +225,10 @@ def cmd_align(args: argparse.Namespace) -> Written:
 
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(table)
+    matched = len(alignment.perf_idx)
     print(
-        f"matched {len(alignment.pairs)}, missing {len(alignment.missing)}, "
-        f"extra {len(alignment.extra)}, info_loss "
+        f"matched {matched}, missing {alignment.n_score - matched}, "
+        f"extra {alignment.n_perf - matched}, info_loss "
         f"{info_loss(alignment):.2f}%, seed {alignment.seed}, "
         f"dp_passes {alignment.dp_passes}"
     )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .. import features
-from ..align import align, filter_matched
+from ..align import align
 from ..dataset import MalformedRegistry, PerformanceRecord, SplitAssignment, load_registry
 from ..midi_io import NoteList, parse_midi
 
@@ -43,7 +43,8 @@ def extract_performance(
 ) -> features.FeatureMatrix:
     """Parse one performance, align it to its parsed score and featurize it."""
     perf = parse_midi((Path(root) / record.perf_midi).read_bytes())
-    matched = filter_matched(align(perf, score), perf, score)
+    alignment = align(perf, score)
+    matched = (alignment.perf_idx, alignment.score_idx)
     return features.assemble(perf, score, matched, label=record.pianist, piece_id=record.id)
 
 

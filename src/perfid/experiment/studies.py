@@ -56,14 +56,6 @@ def profile_config(profile: str, **overrides) -> TrainConfig:
     return TrainConfig(**{"lr": DESK_LR, "model": desk_config(), **overrides})
 
 
-def desk_train_config(n_classes: int = 6, **overrides) -> TrainConfig:
-    """Desk-profile defaults: 60 epochs, higher lr, the slim model.
-
-    ``n_classes`` is unused: ``train`` sizes the model to its split.
-    """
-    return profile_config("desk", **overrides)
-
-
 def _write_reports(
     out_dir: Path, title: str, header: list[str], md_rows: list[list],
     csv_header: list[str], csv_rows: list[list],

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .align import fit_time_map
-from .midi_io import Note, NoteList
+from .midi_io import NoteList
 
 NOTE_COLUMNS = ("pitch", "velocity", "onset", "offset", "duration", "ioi", "otd")
 DEV_COLUMNS = ("dev_velocity", "dev_onset", "dev_offset", "dev_duration", "dev_ioi", "dev_otd")
@@ -119,13 +119,6 @@ class FeatureMatrix:
         return self.rows.shape[0]
 
 
-def _pair_rows(pairs: list[tuple[Note, Note]]):
-    """Performance and score (pitch, velocity, onset, offset) rows of note pairs."""
-    rows = np.array([[(n.pitch, n.velocity, n.onset, n.offset) for n in pair] for pair in pairs],
-                    dtype=np.float64).reshape(-1, 2, 4)
-    return rows[:, 0], rows[:, 1]
-
-
 def _gather(notes: NoteList, idx: np.ndarray) -> np.ndarray:
     """(pitch, velocity, onset, offset) float64 rows of the indexed notes."""
     return np.column_stack([notes.pitch[idx], notes.velocity[idx],
@@ -167,11 +160,6 @@ def _deviation_columns(perf: np.ndarray, score: np.ndarray) -> np.ndarray:
     ])
 
 
-def deviation_features(pairs: list[tuple[Note, Note]]) -> np.ndarray:
-    """The 6 deviation columns (performance minus time-mapped score)."""
-    return _deviation_columns(*_pair_rows(pairs))
-
-
 def resolve_schema(combo: str | FeatureSchema) -> FeatureSchema:
     if isinstance(combo, FeatureSchema):
         return combo
@@ -186,7 +174,8 @@ def assemble(perf: NoteList, score: NoteList, matched: tuple[np.ndarray, np.ndar
     """All 13 columns (C5) for one performance; ``subset`` projects other combinations.
 
     ``matched`` holds the performance and score indices of the matched
-    notes, in performance onset order (``align.filter_matched``).
+    notes with performance indices ascending, as ``align.Alignment``'s
+    ``perf_idx`` and ``score_idx`` columns do.
     """
     perf_rows, score_rows = _gather(perf, matched[0]), _gather(score, matched[1])
     rows = np.column_stack([_note_columns(perf_rows), _deviation_columns(perf_rows, score_rows)])

@@ -8,8 +8,8 @@ pedal is not modelled (offsets are taken as transcribed).
 A ``NoteList`` holds that stream as five equal-length columns: int64
 ``pitch``, ``velocity`` and ``channel``, float64 ``onset``/``offset``
 seconds. Parsed and synthetic lists are in (onset, pitch, channel) order,
-ties in input order. Pipeline stages read and build only the columns;
-``NoteList.notes`` builds ``Note`` objects on access, for tests only.
+ties in input order. Every stage reads and builds whole columns; no
+object stands for a single note.
 """
 
 from __future__ import annotations
@@ -46,20 +46,6 @@ def _check_notes(pitch, onset, offset, velocity, channel) -> None:
         raise ValueError(f"offset {offset[bad[0]]} must exceed onset {onset[bad[0]]}")
 
 
-@dataclass(frozen=True)
-class Note:
-    """One sounded note with absolute times in seconds: a row of a NoteList."""
-
-    pitch: int
-    onset: float
-    offset: float
-    velocity: int
-    channel: int = 0
-
-    def __post_init__(self):
-        _check_notes(*(np.array([getattr(self, name)]) for name, _ in COLUMNS))
-
-
 @dataclass(eq=False)
 class NoteList:
     """Notes as five equal-length 1-D columns plus the tempo map.
@@ -70,8 +56,7 @@ class NoteList:
     (onset, pitch, channel) order. Construction converts the columns to
     their dtypes and checks every note's ranges, raising ValueError for
     the first bad value, but does not sort. A missing ``channel`` puts
-    every note on channel 0. ``notes`` builds one ``Note`` per row on each
-    access; no pipeline stage calls it.
+    every note on channel 0.
     ``tempo_map`` holds (tick, microseconds per quarter) entries sorted by
     tick with the first entry at tick 0. ``n_unterminated`` counts note-ons
     that had no matching off and were closed at track end.
@@ -97,11 +82,6 @@ class NoteList:
 
     def __len__(self) -> int:
         return len(self.pitch)
-
-    @property
-    def notes(self) -> list[Note]:
-        """One ``Note`` per row, built on each access."""
-        return list(map(Note, *(getattr(self, name).tolist() for name, _ in COLUMNS)))
 
     def sorted(self) -> NoteList:
         """The notes in (onset, pitch, channel) order, equal keys kept in place."""

@@ -5,14 +5,15 @@ import itertools
 import math
 import struct
 from bisect import bisect_right
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from perfid import align as aligner
-from perfid import midi_io
-from perfid.midi_io import Note, NoteList
+from perfid import features, midi_io
+from perfid.midi_io import NoteList
 from perfid.neural import Tensor, ops
 from perfid.neural.optim import BETA1, BETA2, EPS
 
@@ -58,6 +59,22 @@ def check_gradients(fn, tensors, h=1e-5, rel_tol=1e-4):
             numeric = (hi - lo) / (2 * h)
             scale = max(abs(numeric), abs(analytic[i]), 1e-6)
             assert abs(numeric - analytic[i]) <= rel_tol * scale, (t, i)
+
+
+@dataclass(frozen=True)
+class Note:
+    """One note with absolute times in seconds: a row of a ``NoteList``."""
+
+    pitch: int
+    onset: float
+    offset: float
+    velocity: int
+    channel: int = 0
+
+
+def notes_of(note_list):
+    """One ``Note`` per row of a ``NoteList``."""
+    return list(map(Note, *(getattr(note_list, name).tolist() for name, _ in midi_io.COLUMNS)))
 
 
 def sorted_notes(notes):
@@ -176,6 +193,32 @@ def render_performance_loop(score, style, rng):
                          min(max(velocity - 8, 1), 127)))
     columns = np.array(rows, dtype=np.float64).reshape(-1, 4).T
     return NoteList(*columns, ticks_per_quarter=score.ticks_per_quarter).sorted()
+
+
+def pairs_of(alignment):
+    """An alignment's matched (performance, score) index pairs, in order."""
+    return list(zip(alignment.perf_idx.tolist(), alignment.score_idx.tolist()))
+
+
+def unmatched(alignment):
+    """An alignment's extra performance and missing score indices."""
+    return (np.delete(np.arange(alignment.n_perf), alignment.perf_idx).tolist(),
+            np.delete(np.arange(alignment.n_score), alignment.score_idx).tolist())
+
+
+def alignment_cost(alignment, perf, score):
+    """Cost of an alignment under the DP objective, at its own time map."""
+    assert (len(perf), len(score)) == (alignment.n_perf, alignment.n_score)
+    a, b = alignment.time_map
+    return aligner._path_cost(pairs_of(alignment), perf.onset, a * score.onset + b)
+
+
+def deviation_features(pairs):
+    """The 6 deviation columns of (performance ``Note``, score ``Note``)
+    pairs, through the columns ``features.assemble`` uses."""
+    rows = np.array([[(n.pitch, n.velocity, n.onset, n.offset) for n in pair] for pair in pairs],
+                    dtype=np.float64).reshape(-1, 2, 4)
+    return features._deviation_columns(rows[:, 0], rows[:, 1])
 
 
 def random_alignment_instance(rng, max_notes=7, n_pitches=3):

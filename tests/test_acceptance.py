@@ -15,16 +15,21 @@ import numpy as np
 import pytest
 
 from helpers import (
+    alignment_cost,
     check_gradients,
+    deviation_features,
     leaf,
     min_alignment_cost,
     note_list,
+    notes_of,
+    pairs_of,
     random_alignment_instance,
     tree_hashes,
+    unmatched,
     weighted_sum,
 )
 from perfid import dataset, features
-from perfid.align import Alignment, align, alignment_cost, info_loss
+from perfid.align import Alignment, align, info_loss
 from perfid.cli import main as cli_main
 from perfid.dataset import PerformanceRecord
 from perfid.experiment import pipeline, studies, training
@@ -71,9 +76,7 @@ def _three_seed_runs(shipped, combo):
     sets = pipeline.build_split_sets(
         shipped["matrices"], shipped["assignment"], combo
     )
-    config = studies.desk_train_config(
-        n_classes=len(sets.class_names), combo=combo, segment_length=1000
-    )
+    config = studies.profile_config("desk", combo=combo, segment_length=1000)
     t0 = time.perf_counter()
     agg = training.repeat_runs(config, [1, 2, 3], sets)
     TIMINGS[combo] = time.perf_counter() - t0
@@ -97,8 +100,7 @@ def c4_agg(shipped):
 def test_criterion_01_information_loss_oracle():
     start = time.perf_counter()
     def consistent(n_p, n_e):
-        pairs = [(n_e + k, k) for k in range(n_p - n_e)]
-        return Alignment(pairs, [], list(range(n_e)), n_p=n_p, n_e=n_e)
+        return Alignment(np.arange(n_e, n_p), np.arange(n_p - n_e), n_p, n_p - n_e)
 
     assert info_loss(consistent(100, 15)) == 15.0
 
@@ -167,8 +169,8 @@ def test_criterion_03_alignment_matches_exhaustive_minimum():
     for n in (1, 2, 7, 40):
         same = note_list([(60 + k % 12, 0.35 * k) for k in range(n)])
         result = align(same, same)
-        assert result.missing == [] and result.extra == []
-        assert len(result.pairs) == n
+        assert unmatched(result) == ([], [])
+        assert len(pairs_of(result)) == n
     assert time.perf_counter() - start < 30.0
 
 
@@ -178,8 +180,8 @@ def test_criterion_04_feature_contracts():
     assert counts == {"C1": 7, "C2": 6, "C3": 6, "C4": 3, "C5": 13}
 
     same = note_list([(60 + k % 12, 0.4 * k) for k in range(50)])
-    pairs = list(zip(same.notes, same.notes))
-    assert np.all(features.deviation_features(pairs) == 0.0)
+    pairs = list(zip(notes_of(same), notes_of(same)))
+    assert np.all(deviation_features(pairs) == 0.0)
 
     rng = np.random.default_rng(13)
     schema = features.resolve_schema("C4")
@@ -322,7 +324,7 @@ def test_criterion_09_split_sensitivity_shrinks_with_corpus(tmp_path_factory):
         dataset.hard_styles(6), 40, 2, 22, large, length_range=(600, 900)
     )
 
-    config = studies.desk_train_config(segment_length=500)
+    config = studies.profile_config("desk", segment_length=500)
     result = studies.study3(
         small, large, base / "out",
         split_seeds=(101, 102, 103, 104, 105), config=config,

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 import perfid.align
 from helpers import (
+    Note,
+    alignment_cost,
     consensus_time_map_loop,
     dense_dp_pairs,
     from_notes,
@@ -22,45 +24,45 @@ from helpers import (
     match_cost_proxy_lanes,
     min_alignment_cost,
     note_list,
+    notes_of,
     offset_candidates_loop,
+    pairs_of,
     random_alignment_instance,
+    unmatched,
 )
 from perfid import dataset
 from perfid.align import (
     Alignment,
     EmptyInput,
+    IndexMismatch,
     ZeroNotes,
     align,
-    alignment_cost,
     export_alignment,
-    filter_matched,
     fit_time_map,
     info_loss,
 )
-from perfid.midi_io import Note, parse_midi
+from perfid.midi_io import parse_midi
 
 
 def identity_alignment(n, n_extra=0):
-    pairs = [(i, i) for i in range(n)]
-    extra = list(range(n, n + n_extra))
-    return Alignment(pairs=pairs, missing=[], extra=extra)
+    return Alignment(np.arange(n), np.arange(n), n + n_extra, n)
 
 
 def test_identity_alignment():
     x = note_list([(60, 0.0), (64, 0.5), (67, 1.0), (72, 1.5)])
     result = align(x, x)
-    assert result.pairs == [(i, i) for i in range(4)]
-    assert result.missing == []
-    assert result.extra == []
+    assert pairs_of(result) == [(i, i) for i in range(4)]
+    assert unmatched(result) == ([], [])
 
 
 def test_single_insertion_is_extra():
     score = note_list([(60, 0.0), (62, 0.5), (64, 1.0), (65, 1.5)])
     perf = note_list([(60, 0.0), (62, 0.5), (73, 0.75), (64, 1.0), (65, 1.5)])
     result = align(perf, score)
-    assert len(result.pairs) == 4
-    assert result.missing == []
-    assert [perf.notes[i].pitch for i in result.extra] == [73]
+    assert len(result.perf_idx) == 4
+    extra, missing = unmatched(result)
+    assert missing == []
+    assert perf.pitch[extra].tolist() == [73]
 
 
 def test_swapped_notes_recover_pitch_true_pairing():
@@ -72,10 +74,7 @@ def test_swapped_notes_recover_pitch_true_pairing():
     perf_onsets[3], perf_onsets[4] = perf_onsets[4], perf_onsets[3]
     perf = note_list(list(zip(pitches, perf_onsets)))
     result = align(perf, score)
-    matched = {
-        (perf.notes[i].pitch, score.notes[j].pitch) for i, j in result.pairs
-    }
-    assert all(p == s for p, s in matched)
+    assert perf.pitch[result.perf_idx].tolist() == score.pitch[result.score_idx].tolist()
     a, b = result.time_map
     cost = alignment_cost(result, perf, score)
     assert cost == pytest.approx(min_alignment_cost(perf, score, a, b))
@@ -84,11 +83,11 @@ def test_swapped_notes_recover_pitch_true_pairing():
 def test_tempo_scaled_performance_aligns_fully():
     score = note_list([(60 + k % 12, 0.4 * k) for k in range(20)])
     perf = note_list(
-        [(n.pitch, 1.3 * n.onset + 2.0) for n in score.notes]
+        [(n.pitch, 1.3 * n.onset + 2.0) for n in notes_of(score)]
     )
     result = align(perf, score)
-    assert len(result.pairs) == 20
-    assert result.missing == [] and result.extra == []
+    assert len(result.perf_idx) == 20
+    assert unmatched(result) == ([], [])
     a, b = result.time_map
     assert a == pytest.approx(1.3, abs=1e-6)
     assert b == pytest.approx(2.0, abs=1e-6)
@@ -103,10 +102,10 @@ def test_globally_slower_take_aligns_through_the_consensus_seed():
     score = dataset._make_score(rng, 900)
     perf = dataset.render_performance(score, dataset.default_styles(6)[0], rng)
     slow = from_notes([
-        replace(n, onset=1.25 * n.onset, offset=1.25 * n.offset) for n in perf.notes
+        replace(n, onset=1.25 * n.onset, offset=1.25 * n.offset) for n in notes_of(perf)
     ])
     result = align(slow, score)
-    assert len(result.pairs) >= 0.98 * min(len(slow), len(score))
+    assert len(result.perf_idx) >= 0.98 * min(len(slow), len(score))
     assert result.time_map[0] == pytest.approx(1.25, abs=0.01)
 
 
@@ -132,8 +131,8 @@ def test_dp_matches_exhaustive_minimum():
 
 def note_arrays(notes):
     return (
-        np.array([x.onset for x in notes.notes]),
-        np.array([x.pitch for x in notes.notes]),
+        np.array([x.onset for x in notes_of(notes)]),
+        np.array([x.pitch for x in notes_of(notes)]),
     )
 
 
@@ -271,7 +270,7 @@ def test_anchors_equal_the_prematch_oracle():
         score = dataset._make_score(rng, 50 + 100 * k)
         cases.append((dataset.render_performance(score, styles[k % len(styles)], rng), score))
     perf, score = cases[-1]
-    cases.append((perf, from_notes(list(np.random.default_rng(3).permutation(score.notes)))))
+    cases.append((perf, from_notes(list(np.random.default_rng(3).permutation(notes_of(score))))))
     unsorted = from_notes([
         Note(p, t, t + 0.1, 64) for p, t in [(62, 3.0), (60, 1.0), (62, 0.5), (60, 2.0), (64, 0.0)]
     ])
@@ -329,7 +328,7 @@ def test_shifted_map_take_aligns_at_its_cheapest(tmp_path):
     score = parse_midi((tmp_path / rec.score_midi).read_bytes())
     result = align(perf, score)
     assert alignment_cost(result, perf, score) == pytest.approx(17.383, abs=1e-3)
-    assert len(result.pairs) == 744
+    assert len(result.perf_idx) == 744
 
 
 def test_hard_take_converges_from_one_seed(monkeypatch):
@@ -361,7 +360,7 @@ def test_clean_take_is_certified_without_a_dp_pass():
     perf_on, perf_pitch = note_arrays(perf)
     score_on, score_pitch = note_arrays(score)
     a, b = result.time_map
-    assert result.pairs == dense_dp_pairs(perf_on, perf_pitch, a * score_on + b, score_pitch)
+    assert pairs_of(result) == dense_dp_pairs(perf_on, perf_pitch, a * score_on + b, score_pitch)
 
 
 def test_ranked_seed_is_never_costlier_than_the_gated_align():
@@ -379,11 +378,11 @@ def test_ranked_seed_is_never_costlier_than_the_gated_align():
         if k % 2:
             perf = from_notes([
                 replace(n, onset=1.25 * n.onset, offset=1.25 * n.offset)
-                for n in perf.notes
+                for n in notes_of(perf)
             ])
         result = align(perf, score)
         pairs, (a, b), _ = gated_align(perf, score)
-        if result.pairs == pairs:
+        if pairs_of(result) == pairs:
             continue
         got = alignment_cost(result, perf, score)
         want = perfid.align._path_cost(
@@ -410,7 +409,7 @@ def test_memory_stays_bounded_on_a_10k_note_take():
             dataset.default_styles(3)[0], extra_rate=0.0, missing_rate=0.0
         )
         perf = dataset.render_performance(score, style, rng)
-        assert len(align(perf, score).pairs) == 10000
+        assert len(align(perf, score).perf_idx) == 10000
         with open("/proc/self/status") as status:
             print(next(line.split()[1] for line in status if line.startswith("VmHWM")))
         """
@@ -432,15 +431,11 @@ def test_alignment_invariants_on_random_instances():
     for _ in range(100):
         perf, score = random_alignment_instance(rng)
         result = align(perf, score)
-        result.validate()
-        assert sorted([i for i, _ in result.pairs] + result.extra) == list(
-            range(len(perf))
-        )
-        assert sorted([j for _, j in result.pairs] + result.missing) == list(
-            range(len(score))
-        )
-        for i, j in result.pairs:
-            assert perf.notes[i].pitch == score.notes[j].pitch
+        assert (result.n_perf, result.n_score) == (len(perf), len(score))
+        extra, missing = unmatched(result)
+        assert sorted(result.perf_idx.tolist() + extra) == list(range(len(perf)))
+        assert sorted(result.score_idx.tolist() + missing) == list(range(len(score)))
+        assert perf.pitch[result.perf_idx].tolist() == score.pitch[result.score_idx].tolist()
 
 
 def test_info_loss_exact_values():
@@ -450,7 +445,7 @@ def test_info_loss_exact_values():
 
 def test_info_loss_zero_notes_rejected():
     with pytest.raises(ZeroNotes):
-        info_loss(Alignment(pairs=[], missing=[2], extra=[]))
+        info_loss(Alignment([], [], 0, 3))
 
 
 @given(
@@ -486,18 +481,39 @@ def test_filter_matched_order_and_count():
     score = note_list([(60, 0.0), (62, 0.5), (64, 1.0), (65, 1.5)])
     perf = note_list([(60, 0.0), (99, 0.2), (62, 0.5), (64, 1.0), (65, 1.5)])
     result = align(perf, score)
-    perf_idx, score_idx = filter_matched(result, perf, score)
-    assert len(perf_idx) == len(score_idx) == result.n_p - result.n_e
+    perf_idx, score_idx = result.perf_idx, result.score_idx
+    assert len(perf_idx) == len(score_idx) == len(perf) - len(unmatched(result)[0])
     onsets = perf.onset[perf_idx].tolist()
     assert onsets == sorted(onsets)
     assert perf.pitch[perf_idx].tolist() == score.pitch[score_idx].tolist()
 
 
-def test_filter_matched_bounds_check():
-    x = note_list([(60, 0.0), (62, 0.5)])
-    bad = Alignment(pairs=[(0, 0), (5, 1)], missing=[], extra=[])
-    with pytest.raises(IndexError):
-        filter_matched(bad, x, x)
+def build_then_export(perf_idx, score_idx, n_perf=2, n_score=2, notes=(2, 2)):
+    """Build an alignment, then export it against lists of ``notes`` notes."""
+    alignment = Alignment(perf_idx, score_idx, n_perf, n_score)
+    perf, score = (note_list([(60, 0.5 * k) for k in range(n)]) for n in notes)
+    return export_alignment(alignment, perf, score)
+
+
+@pytest.mark.parametrize("args, error", [
+    (([0, 1], [1, 0]), ValueError),  # crossing pairs
+    (([0, 0], [0, 1]), ValueError),  # a performance note used twice
+    (([0, 1], [1, 1]), ValueError),  # a score note used twice
+    (([0, 2], [0, 1]), IndexMismatch),  # a performance index equal to its count
+    (([0, 1], [0, 2]), IndexMismatch),  # a score index equal to its count
+    (([-1, 1], [0, 1]), IndexMismatch),
+    (([0, 1], [-1, 1]), IndexMismatch),
+    (([0, 1], [0]), ValueError),  # columns of unequal length
+    (([[0, 1]], [[0, 1]]), ValueError),  # columns that are not 1-D
+    (([0], [0], 2, 2, (3, 2)), IndexMismatch),  # export given too many performance notes
+    (([0], [0], 2, 2, (2, 1)), IndexMismatch),  # export given too few score notes
+], ids=["crossing", "double-perf", "double-score", "perf-at-count", "score-at-count",
+        "negative-perf", "negative-score", "unequal-length", "not-1d", "export-perf-length",
+        "export-score-length"])
+def test_alignment_invariants_raise_typed_errors(args, error):
+    assert build_then_export([0, 1], [0, 1]).count("\n") == 3
+    with pytest.raises(error):
+        build_then_export(*args)
 
 
 def test_export_rows_follow_the_alignment():
@@ -512,32 +528,24 @@ def test_export_rows_follow_the_alignment():
             "score_id", "score_onset", "score_pitch",
         ]
         rows = [line.split("\t") for line in lines[1:]]
-        assert len(rows) == len(perf) + len(result.missing)
+        extra, missing = unmatched(result)
+        assert len(rows) == len(perf) + len(missing)
 
         def cells(j, note):
             return [str(j), f"{note.onset:.6f}", str(note.pitch)]
 
         # one row per performance note in order, then one per missing note
-        score_for_perf = dict(result.pairs)
-        for i, (row, note) in enumerate(zip(rows, perf.notes)):
+        score_for_perf = dict(pairs_of(result))
+        score_notes = notes_of(score)
+        for i, (row, note) in enumerate(zip(rows, notes_of(perf))):
             assert row[:3] == cells(i, note)
             j = score_for_perf.get(i)
-            assert row[3:] == (["*"] * 3 if j is None else cells(j, score.notes[j]))
-        for row, j in zip(rows[len(perf):], result.missing):
-            assert row == ["*"] * 3 + cells(j, score.notes[j])
-        seen_extra |= bool(result.extra)
-        seen_missing |= bool(result.missing)
+            assert row[3:] == (["*"] * 3 if j is None else cells(j, score_notes[j]))
+        for row, j in zip(rows[len(perf):], missing):
+            assert row == ["*"] * 3 + cells(j, score_notes[j])
+        seen_extra |= bool(extra)
+        seen_missing |= bool(missing)
     assert seen_extra and seen_missing
-
-
-def test_alignment_validation_rejects_crossing():
-    with pytest.raises(ValueError):
-        Alignment(pairs=[(0, 1), (1, 0)], missing=[], extra=[])
-
-
-def test_alignment_validation_rejects_double_use():
-    with pytest.raises(ValueError):
-        Alignment(pairs=[(0, 0), (0, 1)], missing=[], extra=[])
 
 
 def test_fit_time_map_recovers_affine():

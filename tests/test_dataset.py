@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import note_list, render_performance_loop
+from helpers import note_list, notes_of, render_performance_loop
 from perfid import dataset
 from perfid.dataset import (
     InvalidStyleConfig,
@@ -189,8 +189,8 @@ def test_builtin_style_sets():
 def test_neutral_style_reproduces_score():
     score = note_list([(60 + k % 8, 0.25 * k) for k in range(30)], duration=0.2)
     out = render_performance(score, StyleConfig(), np.random.default_rng(0))
-    assert len(out.notes) == len(score.notes)
-    for got, want in zip(out.notes, score.notes):
+    assert len(out) == len(score)
+    for got, want in zip(notes_of(out), notes_of(score)):
         assert got.pitch == want.pitch
         assert got.velocity == want.velocity
         assert got.onset == pytest.approx(want.onset)
@@ -200,24 +200,24 @@ def test_neutral_style_reproduces_score():
 def test_articulation_scales_duration():
     score = note_list([(60, 0.0), (64, 0.5), (67, 1.0)], duration=0.4)
     out = render_performance(score, StyleConfig(articulation=0.5), np.random.default_rng(1))
-    for got, want in zip(out.notes, score.notes):
+    for got, want in zip(notes_of(out), notes_of(score)):
         assert got.offset - got.onset == pytest.approx((want.offset - want.onset) * 0.5)
 
 
 def test_velocity_bias_applied_and_clipped():
     score = note_list([(60 + k, 0.3 * k) for k in range(10)], velocity=120)
     out = render_performance(score, StyleConfig(velocity_bias=20.0), np.random.default_rng(2))
-    assert all(n.velocity == 127 for n in out.notes)
+    assert all(n.velocity == 127 for n in notes_of(out))
     out = render_performance(score, StyleConfig(velocity_bias=-5.0), np.random.default_rng(2))
-    assert all(n.velocity == 115 for n in out.notes)
+    assert all(n.velocity == 115 for n in notes_of(out))
 
 
 def test_missing_and_extra_rates_change_counts():
     score = note_list([(60 + k % 12, 0.25 * k) for k in range(200)])
     thinned = render_performance(score, StyleConfig(missing_rate=0.5), np.random.default_rng(3))
-    assert len(thinned.notes) < 150
+    assert len(thinned) < 150
     padded = render_performance(score, StyleConfig(extra_rate=0.5), np.random.default_rng(3))
-    assert len(padded.notes) > 250
+    assert len(padded) > 250
 
 
 # a wrong note on about every second sounded note, so the step draw runs often
@@ -251,8 +251,8 @@ def test_synth_generate_layout(tmp_path):
     for rec in records:
         perf = parse_midi((tmp_path / rec.perf_midi).read_bytes())
         score = parse_midi((tmp_path / rec.score_midi).read_bytes())
-        assert 20 <= len(score.notes) <= 40
-        assert len(perf.notes) > 0
+        assert 20 <= len(score) <= 40
+        assert len(perf) > 0
 
 
 def test_synth_generate_byte_identical_reruns(tmp_path):

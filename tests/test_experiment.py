@@ -24,7 +24,7 @@ from perfid.experiment.studies import (
     DESK_LR,
     STUDY1_LENGTHS,
     STUDY2_COMBOS,
-    desk_train_config,
+    profile_config,
 )
 from perfid.experiment.training import (
     EmptySplit,
@@ -133,18 +133,25 @@ def test_train_config_rejects_non_finite_lr_and_decay(bad):
 
 
 def test_desk_train_config_defaults_and_overrides():
-    config = desk_train_config()
+    config = profile_config("desk")
     assert config.lr == DESK_LR
     assert config.epochs == 60
     # the desk profile names the slim architecture; train sizes it
     assert config.model.channels == (16, 24, 32, 32, 48)
-    fast = desk_train_config(n_classes=2, epochs=2, combo="C4")
+    fast = profile_config("desk", epochs=2, combo="C4")
     assert (fast.epochs, fast.combo) == (2, "C4")
     assert fast.model == desk_config()
-    explicit = desk_train_config(model=TOY_MODEL, combo="C4")
+    explicit = profile_config("desk", model=TOY_MODEL, combo="C4")
     assert explicit.model is TOY_MODEL
     assert STUDY1_LENGTHS[-1] is None
     assert STUDY2_COMBOS == ("C1", "C2", "C3", "C4", "C5")
+
+
+def test_full_profile_is_the_reference_network_and_others_are_refused():
+    full = profile_config("full", epochs=3)
+    assert (full.model, full.lr, full.epochs) == (None, TrainConfig().lr, 3)
+    with pytest.raises(ValueError, match="desk or full"):
+        profile_config("laptop")
 
 
 TOY_MODEL = ModelConfig(
@@ -330,17 +337,6 @@ def test_extract_corpus_keys_full_matrices_by_record(tmp_path):
         assert matrix.schema.columns == features.ALL_COLUMNS
         assert matrix.n_notes > 0
         assert matrix.label == record.pianist
-
-
-def test_extraction_builds_no_note_objects(tmp_path, monkeypatch):
-    """Parse, alignment and features read the NoteList columns only."""
-    records = corpus_on_disk(tmp_path, n_pieces=1, perf_per_cell=1)
-
-    def no_notes(*args, **kwargs):
-        raise AssertionError("the extract path built a per-note Note")
-
-    monkeypatch.setattr(midi_io, "Note", no_notes)
-    assert all(m.n_notes > 0 for m in extract_corpus(records, tmp_path).values())
 
 
 def test_extract_corpus_parses_each_score_once(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import from_notes, note_list
+from helpers import Note, deviation_features, from_notes, note_list, notes_of
 from perfid.features import (
     ALL_COLUMNS,
     COMBINATIONS,
@@ -17,18 +17,16 @@ from perfid.features import (
     UnknownCombination,
     apply_normalizer,
     assemble,
-    deviation_features,
     fit_normalizer,
     load_features,
     save_features,
     segment,
     subset,
 )
-from perfid.midi_io import Note
 
 
 def pairs_from(perf, score):
-    return list(zip(perf.notes, score.notes))
+    return list(zip(notes_of(perf), notes_of(score)))
 
 
 def matched(perf, score):
@@ -100,9 +98,9 @@ def test_uniform_slowdown_absorbed_by_fit():
     score = note_list([(60 + k % 7, 0.3 * k) for k in range(12)])
     slowed = [
         Note(s.pitch, 2.0 * s.onset, 2.0 * s.offset, s.velocity)
-        for s in score.notes
+        for s in notes_of(score)
     ]
-    rows = deviation_features(list(zip(slowed, score.notes)))
+    rows = deviation_features(list(zip(slowed, notes_of(score))))
     assert np.allclose(rows, 0.0, atol=1e-9)
 
 
@@ -110,9 +108,9 @@ def test_single_velocity_accent():
     score = note_list([(60 + k, 0.3 * k) for k in range(6)])
     perf_notes = [
         Note(s.pitch, s.onset, s.offset, s.velocity + (20 if k == 3 else 0))
-        for k, s in enumerate(score.notes)
+        for k, s in enumerate(notes_of(score))
     ]
-    rows = deviation_features(list(zip(perf_notes, score.notes)))
+    rows = deviation_features(list(zip(perf_notes, notes_of(score))))
     dev_velocity = rows[:, 0]
     assert dev_velocity[3] == pytest.approx(20.0)
     assert np.allclose(np.delete(dev_velocity, 3), 0.0)
@@ -167,7 +165,7 @@ def test_shift_invariance():
     rng = np.random.default_rng(0)
     perf_notes = [
         Note(s.pitch, s.onset + rng.uniform(-0.02, 0.02), s.offset, s.velocity)
-        for s in score.notes
+        for s in notes_of(score)
     ]
     base = assemble(*matched(from_notes(perf_notes), score))
 
@@ -178,7 +176,7 @@ def test_shift_invariance():
     ]
     moved_score = [
         Note(n.pitch, n.onset + shift, n.offset + shift, n.velocity)
-        for n in score.notes
+        for n in notes_of(score)
     ]
     moved = assemble(*matched(from_notes(moved_perf), from_notes(moved_score)))
 
@@ -192,7 +190,7 @@ def test_shift_invariance():
 
 
 def test_assemble_equals_the_pair_functions():
-    # assemble gathers rows by index; the (Note, Note)-pair function and
+    # assemble gathers rows by index; the (Note, Note)-pair oracle and
     # the note attributes give the same rows, so the columns agree bit for bit
     rng = np.random.default_rng(5)
     score = note_list([(60 + k % 5, 0.35 * k, 50 + k) for k in range(15)])
@@ -201,7 +199,7 @@ def test_assemble_equals_the_pair_functions():
     perf_idx = np.array([0, 2, 3, 7, 8, 14])
     score_idx = np.array([1, 2, 4, 7, 9, 13])
     rows = assemble(perf, score, (perf_idx, score_idx)).rows
-    pairs = [(perf.notes[i], score.notes[j]) for i, j in zip(perf_idx, score_idx)]
+    pairs = [(notes_of(perf)[i], notes_of(score)[j]) for i, j in zip(perf_idx, score_idx)]
     pitch, velocity, onset, offset = np.array(
         [(p.pitch, p.velocity, p.onset, p.offset) for p, _ in pairs]).T
     ioi = np.append(onset[1:] - onset[:-1], 0.0)

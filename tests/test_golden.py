@@ -50,6 +50,17 @@ MANIFEST_SHA256 = {
     "train --split-csv": "3dc84dcd0beea5fdf271640887d821f8009cb245c1e3433c8242e1a33d1bce5a",
 }
 
+# `perfid align` of each hard 2,600-note take against its score: TSV digest
+# and summary line
+ALIGN_PINS = {
+    "pianist_00": ("9e42d711c3f9c3fd4cafff789ed1741a385fd02b3fc39ad07b7fb48ca91fd981",
+                   "matched 2526, missing 74, extra 55, info_loss 2.13%, seed consensus, "
+                   "dp_passes 2"),
+    "pianist_01": ("fc8b60c886e6edb1b050f60afd3f74b00feaeca5319f01413729685ca16839b2",
+                   "matched 2514, missing 86, extra 75, info_loss 2.90%, seed consensus, "
+                   "dp_passes 2"),
+}
+
 
 def tree_digest(root, skip=()) -> str:
     hashes = {k: v for k, v in tree_hashes(root).items() if k not in skip}
@@ -137,3 +148,20 @@ def test_manifest_bytes_are_pinned(tmp_path, monkeypatch):
         digests[name] = hashlib.sha256((tmp_path / manifest).read_bytes()).hexdigest()
     assert tree_digest(tmp_path / "corpus", skip={"manifest.json"}) == CORPUS_SHA256
     assert digests == MANIFEST_SHA256
+
+
+def test_align_table_and_summary_are_pinned(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--seed", "3", "--pianists", "2",
+                 "--pieces", "1", "--per-cell", "1", "--length-min", "2600",
+                 "--length-max", "2600", "--difficulty", "hard"]) == 0
+    capsys.readouterr()
+    pins = {}
+    for pianist in ALIGN_PINS:
+        out = tmp_path / f"{pianist}.tsv"
+        assert main(["align", "--perf", str(corpus / "corpus" / pianist / "piece_000__take0.mid"),
+                     "--score", str(corpus / "scores" / "piece_000.mid"),
+                     "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        pins[pianist] = (digest, capsys.readouterr().out.strip())
+    assert pins == ALIGN_PINS

@@ -20,14 +20,6 @@ MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
 REPO = Path(__file__).resolve().parent.parent
 CALLERS = [*MODULES, *sorted(REPO.glob("scripts/*.py")), *sorted(REPO.glob("perfbench/*.py"))]
 
-# Names only the acceptance tests call, each pinned by the criterion named.
-TEST_ONLY = {
-    "alignment_cost": "criterion 3 checks each alignment's cost against the exhaustive minimum",
-    "deviation_features": "criterion 4 checks the (Note, Note)-pair deviation columns",
-    "desk_train_config": "criteria 7-9 build their training configs with it",
-}
-
-
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported = {}
@@ -95,7 +87,7 @@ def unused_definitions(defining: dict[str, str], callers: list[str]) -> list[str
 def test_every_definition_has_a_caller_outside_the_tests():
     defining = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
     unused = unused_definitions(defining, [p.read_text() for p in CALLERS])
-    assert sorted(name.split(":")[1] for name in unused) == sorted(TEST_ONLY), unused
+    assert unused == []
 
 
 def test_the_dead_name_check_sees_an_uncalled_definition():

@@ -15,12 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perfid
-from helpers import from_notes, parse_per_note, write_midi_loop
+from helpers import Note, from_notes, notes_of, parse_per_note, write_midi_loop
 from perfid.midi_io import (
     DEFAULT_TEMPO,
     MAX_TEMPO,
     MalformedHeader,
-    Note,
     NoteList,
     UnsupportedFormat,
     parse_midi,
@@ -64,7 +63,7 @@ def test_single_note_default_tempo():
     data = smf([track([(0, on(60, 64)), (480, off(60))])])
     result = parse_midi(data)
     assert len(result) == 1
-    note = result.notes[0]
+    note = notes_of(result)[0]
     assert note.pitch == 60
     assert note.onset == 0.0
     assert note.offset == pytest.approx(0.5)
@@ -87,8 +86,8 @@ def test_two_tempo_integration():
     ]
     result = parse_midi(smf([track(events)]))
     assert len(result) == 1
-    assert result.notes[0].onset == 0.0
-    assert result.notes[0].offset == pytest.approx(0.75)
+    assert notes_of(result)[0].onset == 0.0
+    assert notes_of(result)[0].offset == pytest.approx(0.75)
 
 
 def test_tempo_change_before_onset():
@@ -99,15 +98,15 @@ def test_tempo_change_before_onset():
         (480, off(60)),
     ]
     result = parse_midi(smf([track(events)]))
-    assert result.notes[0].onset == pytest.approx(0.25)
-    assert result.notes[0].offset == pytest.approx(0.5)
+    assert notes_of(result)[0].onset == pytest.approx(0.25)
+    assert notes_of(result)[0].offset == pytest.approx(0.5)
 
 
 def test_velocity_zero_note_on_is_off():
     data = smf([track([(0, on(60, 64)), (240, bytes([0x90, 60, 0]))])])
     result = parse_midi(data)
     assert len(result) == 1
-    assert result.notes[0].offset == pytest.approx(0.25)
+    assert notes_of(result)[0].offset == pytest.approx(0.25)
 
 
 def test_fifo_pairing_overlapping_same_pitch():
@@ -119,7 +118,7 @@ def test_fifo_pairing_overlapping_same_pitch():
     ]
     result = parse_midi(smf([track(events)]))
     assert len(result) == 2
-    first, second = result.notes
+    first, second = notes_of(result)
     assert (first.velocity, first.onset, first.offset) == (10, 0.0, pytest.approx(0.5))
     assert (second.velocity, second.onset) == (99, pytest.approx(0.25))
     assert second.offset == pytest.approx(1.0)
@@ -129,9 +128,9 @@ def test_unterminated_note_closed_at_track_end():
     data = smf([track([(0, on(60, 64)), (100, on(62, 64)), (380, off(62))], end_delta=120)])
     result = parse_midi(data)
     assert result.n_unterminated == 1
-    pitches = [n.pitch for n in result.notes]
+    pitches = [n.pitch for n in notes_of(result)]
     assert pitches == [60, 62]
-    closed = [n for n in result.notes if n.pitch == 60][0]
+    closed = [n for n in notes_of(result) if n.pitch == 60][0]
     assert closed.offset == pytest.approx(600 / 960)
 
 
@@ -143,15 +142,15 @@ def test_running_status():
     body += varlen(0) + bytes([0xFF, 0x2F, 0x00])
     data = smf([b"MTrk" + struct.pack(">I", len(body)) + body])
     result = parse_midi(data)
-    assert sorted(n.pitch for n in result.notes) == [60, 64]
+    assert sorted(n.pitch for n in notes_of(result)) == [60, 64]
 
 
 def test_multiple_tracks_merged():
     t1 = track([(0, on(60, 64)), (480, off(60))])
     t2 = track([(240, on(72, 70)), (480, off(72))])
     result = parse_midi(smf([t1, t2]))
-    assert [n.pitch for n in result.notes] == [60, 72]
-    assert result.notes[1].onset == pytest.approx(0.25)
+    assert [n.pitch for n in notes_of(result)] == [60, 72]
+    assert notes_of(result)[1].onset == pytest.approx(0.25)
 
 
 def test_zero_duration_note_dropped():
@@ -167,7 +166,7 @@ def test_notes_sorted_by_onset_then_pitch():
         (0, off(60)),
     ]
     result = parse_midi(smf([track(events)]))
-    assert [n.pitch for n in result.notes] == [60, 70]
+    assert [n.pitch for n in notes_of(result)] == [60, 70]
 
 
 def assert_columns_equal_oracle(data):
@@ -307,15 +306,6 @@ def test_zero_tempo_rejected():
         parse_midi(data)
 
 
-def test_note_validation():
-    with pytest.raises(ValueError):
-        Note(pitch=60, onset=1.0, offset=1.0, velocity=64)
-    with pytest.raises(ValueError):
-        Note(pitch=60, onset=0.0, offset=1.0, velocity=0)
-    with pytest.raises(ValueError):
-        Note(pitch=128, onset=0.0, offset=1.0, velocity=64)
-
-
 @st.composite
 def note_lists(draw):
     n = draw(st.integers(min_value=1, max_value=30))
@@ -338,7 +328,7 @@ def test_round_trip_preserves_notes(note_list):
     result = parse_midi(write_midi(note_list))
     assert len(result) == len(note_list)
     tick = 1 / 960  # quantization bound at 480 tpq, default tempo
-    for got, want in zip(result.notes, note_list.notes):
+    for got, want in zip(notes_of(result), notes_of(note_list)):
         assert got.pitch == want.pitch
         assert got.velocity == want.velocity
         assert abs(got.onset - want.onset) <= tick
@@ -350,7 +340,7 @@ def test_round_trip_preserves_notes(note_list):
 def test_round_trip_is_idempotent(note_list):
     once = parse_midi(write_midi(note_list))
     twice = parse_midi(write_midi(once))
-    assert once.notes == twice.notes
+    assert notes_of(once) == notes_of(twice)
 
 
 def test_round_trip_keeps_tempo_map():
