@@ -171,8 +171,8 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     the manifest records the profile's when ``--lr`` is absent.
     """
     overrides = {} if args.lr is None else {"lr": args.lr}
-    if args.command == "train":  # study keeps TrainConfig's combo, decay and seed
-        overrides.update(combo=args.combo, weight_decay=args.weight_decay, seed=args.seed)
+    if args.command == "train":  # study keeps TrainConfig's decay and seed
+        overrides.update(weight_decay=args.weight_decay, seed=args.seed)
     try:
         config = studies.profile_config(
             args.profile,
@@ -286,7 +286,7 @@ def cmd_train(args: argparse.Namespace) -> Written:
     config = _train_config(args)
 
     matrices = pipeline.extract_corpus(records, corpus)
-    sets = pipeline.build_split_sets(matrices, assignment, config.combo)
+    sets = pipeline.build_split_sets(matrices, assignment, args.combo)
     result = training.train(config, sets, out_dir=out)
 
     best = result.best_valid
@@ -326,8 +326,7 @@ def cmd_eval(args: argparse.Namespace) -> Written:
         raise PipelineError(f"pianists unseen at training time: {unknown}")
 
     matrices = pipeline.extract_corpus(chosen, corpus)
-    schema = features.FeatureSchema(columns=stats.columns)
-    prepared = [features.apply_normalizer(features.subset(matrices[rid], schema), stats)
+    prepared = [features.apply_normalizer(features.subset(matrices[rid], stats.columns), stats)
                 for rid in sorted(matrices)]
     result = evaluate(model, prepared, class_names, level=args.level,
                       segment_length=segment_length)
@@ -452,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="derive the split from this seed unless --split-csv "
                         "is given (default %(default)s)")
     p.add_argument("--combo", choices=list(features.COMBINATIONS),
-                   default=TrainConfig.combo, help="default %(default)s")
+                   default="C5", help="default %(default)s")
     p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay,
                    help="default %(default)s")
     p.set_defaults(func=cmd_train)

@@ -91,11 +91,12 @@ def build_split_sets(
         "Valid": [],
         "Test": [],
     }
+    schema = features.resolve_schema(combo)
     for rec_id in sorted(matrices):
         split_name = assignment.assignment.get(rec_id)
         if split_name is None:
             continue
-        buckets[split_name].append(features.subset(matrices[rec_id], combo))
+        buckets[split_name].append(features.subset(matrices[rec_id], schema))
 
     stats = features.fit_normalizer(buckets["Train"])
     normalized = {

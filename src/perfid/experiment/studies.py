@@ -3,7 +3,7 @@
 Study 1 sweeps training segment lengths {400, 600, 800, 1000, Full} at
 the full feature set. Study 2 sweeps feature combinations C1..C5 at the
 config's segment length (1000 by default). Study 3 re-splits two corpora
-five times each and compares the spread of test accuracy across splits.
+five times each and compares the spread of C5 test accuracy across splits.
 Every row trains the config's architecture, which ``train`` sizes to the
 row's feature columns and pianists.
 
@@ -98,7 +98,7 @@ def _sweep(
         if combo != sets_combo:
             sets = build_split_sets(matrices, assignment, combo)
             sets_combo = combo
-        cfg = replace(config, combo=combo, segment_length=length)
+        cfg = replace(config, segment_length=length)
         agg = repeat_runs(cfg, list(seeds), sets, out_dir=out_dir / run_name)
         aggregates[cells[0]] = agg
         mean, std = agg["mean"], agg["std"]
@@ -156,8 +156,8 @@ def study3(
 ) -> dict:
     """Split sensitivity: re-split each corpus and compare accuracy spread.
 
-    One training run per split seed (the split seed doubles as the train
-    seed); reports the best and the average (std) test accuracy per
+    One training run per split seed at C5 (the split seed doubles as the
+    train seed); reports the best and the average (std) test accuracy per
     corpus, segment level.
     """
     out_dir = Path(out_dir)
@@ -174,7 +174,7 @@ def study3(
         accuracies = []
         for split_seed in split_seeds:
             assignment = split(records, int(split_seed))
-            sets = build_split_sets(matrices, assignment, config.combo)
+            sets = build_split_sets(matrices, assignment, "C5")
             run_dir = out_dir / f"corpus{tag}" / f"split{split_seed}"
             result = train(replace(config, seed=int(split_seed)), sets, out_dir=run_dir)
             scores = score_test(result, sets, ("segment",), run_dir)

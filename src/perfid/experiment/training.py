@@ -47,7 +47,8 @@ class TrainConfig:
     Model selection is fixed: the epoch with the best validation macro-F1
     wins. ``model`` names the architecture only: ``None`` is the reference
     network, :func:`~perfid.neural.desk_config` the slim one for CPU-budget
-    experiments. :func:`train` sizes it to the split's columns and classes.
+    experiments. :func:`train` sizes it to the split's columns and classes;
+    the columns are those the split sets were built at.
     """
 
     batch_size: int = 16
@@ -55,7 +56,6 @@ class TrainConfig:
     lr: float = 8e-5
     weight_decay: float = 1e-7
     segment_length: int | None = 1000
-    combo: str = "C5"
     seed: int = 0
     model: ModelConfig | None = None
 
@@ -70,7 +70,6 @@ class TrainConfig:
             raise ValueError("weight decay must be non-negative and finite")
         if self.segment_length is not None and self.segment_length < 2:
             raise ValueError("segment length must be >= 2 or None for Full")
-        features.resolve_schema(self.combo)  # raises on unknown combos
 
 
 @dataclass
@@ -98,11 +97,9 @@ def _items_from_matrices(
     items = []
     for matrix in matrices:
         label = class_names.index(matrix.label)
-        if segment_length is None:
-            items.append((matrix.piece_id, 0, matrix.rows, label))
-        else:
-            for k, seg in enumerate(features.segment(matrix, segment_length)):
-                items.append((matrix.piece_id, k, seg.rows, label))
+        windows = ([matrix.rows] if segment_length is None
+                   else features.segment(matrix, segment_length))
+        items += [(matrix.piece_id, k, window, label) for k, window in enumerate(windows)]
     return items
 
 
@@ -149,12 +146,8 @@ def train(
     if not valid_items:
         raise EmptySplit("validation split yielded no samples")
 
-    columns = sets.normalizer.columns
-    if features.COMBINATIONS[config.combo] != columns:
-        raise SchemaMismatch(f"combo {config.combo} does not match columns {columns}")
-    model_cfg = replace(
-        config.model or ModelConfig(), in_features=len(columns), n_classes=n_classes
-    )
+    model_cfg = replace(config.model or ModelConfig(),
+                        in_features=len(sets.normalizer.columns), n_classes=n_classes)
     model = PianistConvNet(model_cfg, seed=config.seed)
     optimizer = AdamState(
         model.parameters(), lr=config.lr, weight_decay=config.weight_decay

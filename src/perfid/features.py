@@ -11,12 +11,15 @@ after the score timeline is affinely mapped onto the performance timeline
 (fit on matched onsets). Durations, IOIs and OTDs are time differences,
 so only the fitted scale applies to them. Pitch has no deviation column:
 matches are pitch-exact by construction.
+
+A matrix's schema is its column names, one of the ``COMBINATIONS`` C1..C5:
+``assemble`` builds all 13 columns (C5), ``subset`` projects onto another.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,26 +56,6 @@ class EmptyTrainingSet(ValueError):
     """Normalizer statistics need at least one matrix."""
 
 
-@dataclass(frozen=True)
-class FeatureSchema:
-    columns: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.columns:
-            raise ValueError("schema must name at least one column")
-        if len(set(self.columns)) != len(self.columns):
-            raise ValueError("duplicate schema columns")
-        unknown = set(self.columns) - set(ALL_COLUMNS)
-        if unknown:
-            raise ValueError(f"unknown columns: {sorted(unknown)}")
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
-    def index(self, column: str) -> int:
-        return self.columns.index(column)
-
-
 @dataclass
 class NormStats:
     """Per-column z-scoring statistics fitted on the training split."""
@@ -99,18 +82,17 @@ class NormStats:
 
 @dataclass
 class FeatureMatrix:
-    """One performance: a row per matched note, in onset order."""
+    """One performance: a row per matched note in onset order, a column per ``schema`` name."""
 
-    schema: FeatureSchema
+    schema: tuple[str, ...]
     rows: np.ndarray
     label: str
     piece_id: str
-    normalization: NormStats | None = field(default=None)
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.float64)
         if self.rows.ndim != 2 or self.rows.shape[1] != len(self.schema):
-            raise ValueError(f"rows shape {self.rows.shape} does not fit schema {self.schema.columns}")
+            raise ValueError(f"rows shape {self.rows.shape} does not fit schema {self.schema}")
         if self.rows.size and not np.all(np.isfinite(self.rows)):
             raise ValueError("non-finite feature values")
 
@@ -160,11 +142,10 @@ def _deviation_columns(perf: np.ndarray, score: np.ndarray) -> np.ndarray:
     ])
 
 
-def resolve_schema(combo: str | FeatureSchema) -> FeatureSchema:
-    if isinstance(combo, FeatureSchema):
-        return combo
+def resolve_schema(combo: str) -> tuple[str, ...]:
+    """The column names of combination ``combo``."""
     try:
-        return FeatureSchema(COMBINATIONS[combo])
+        return COMBINATIONS[combo]
     except KeyError:
         raise UnknownCombination(f"unknown feature combination {combo!r}") from None
 
@@ -179,43 +160,29 @@ def assemble(perf: NoteList, score: NoteList, matched: tuple[np.ndarray, np.ndar
     """
     perf_rows, score_rows = _gather(perf, matched[0]), _gather(score, matched[1])
     rows = np.column_stack([_note_columns(perf_rows), _deviation_columns(perf_rows, score_rows)])
-    return FeatureMatrix(FeatureSchema(ALL_COLUMNS), rows, label=label, piece_id=piece_id)
+    return FeatureMatrix(ALL_COLUMNS, rows, label=label, piece_id=piece_id)
 
 
-def subset(matrix: FeatureMatrix, combo: str | FeatureSchema) -> FeatureMatrix:
-    """Project a matrix onto another combination's columns.
-
-    Only defined for unnormalized matrices: statistics fitted on one
-    column set do not transfer to another.
-    """
-    schema = resolve_schema(combo)
-    if matrix.normalization is not None:
-        raise ValueError("subset before normalization, not after")
-    missing = [c for c in schema.columns if c not in matrix.schema.columns]
+def subset(matrix: FeatureMatrix, schema: tuple[str, ...]) -> FeatureMatrix:
+    """Project an unnormalized matrix onto another combination's columns."""
+    missing = [c for c in schema if c not in matrix.schema]
     if missing:
         raise UnknownCombination(f"matrix lacks columns {missing}")
-    idx = [matrix.schema.index(c) for c in schema.columns]
-    return FeatureMatrix(
-        schema=schema,
-        rows=matrix.rows[:, idx].copy(),
-        label=matrix.label,
-        piece_id=matrix.piece_id,
-    )
+    idx = [matrix.schema.index(c) for c in schema]
+    # a column gather is F-ordered; the C-ordered copy lets segment return views
+    return replace(matrix, schema=schema, rows=matrix.rows[:, idx].copy())
 
 
-def segment(matrix: FeatureMatrix, length: int) -> list[FeatureMatrix]:
+def segment(matrix: FeatureMatrix, length: int) -> np.ndarray:
     """Consecutive non-overlapping windows of exactly ``length`` rows.
 
-    The trailing remainder is dropped; a piece shorter than ``length``
-    yields no segments.
+    A (windows, length, columns) view of ``matrix.rows``. The trailing
+    remainder is dropped; a piece shorter than ``length`` yields no windows.
     """
     if length < 2:
         raise ValueError(f"segment length must be >= 2, got {length}")
     n_segments = matrix.n_notes // length
-    return [
-        replace(matrix, rows=matrix.rows[k * length : (k + 1) * length].copy())
-        for k in range(n_segments)
-    ]
+    return matrix.rows[: n_segments * length].reshape(n_segments, length, len(matrix.schema))
 
 
 STD_FLOOR = 1e-8
@@ -232,14 +199,13 @@ def fit_normalizer(training: list[FeatureMatrix]) -> NormStats:
     stacked = np.concatenate([m.rows for m in training], axis=0)
     mean = stacked.mean(axis=0)
     std = np.maximum(stacked.std(axis=0), STD_FLOOR)
-    return NormStats(columns=schema.columns, mean=mean, std=std)
+    return NormStats(columns=schema, mean=mean, std=std)
 
 
 def apply_normalizer(matrix: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
-    if matrix.schema.columns != stats.columns:
+    if matrix.schema != stats.columns:
         raise ValueError("normalizer columns do not match matrix schema")
-    rows = (matrix.rows - stats.mean) / stats.std
-    return replace(matrix, rows=rows, normalization=stats)
+    return replace(matrix, rows=(matrix.rows - stats.mean) / stats.std)
 
 
 def save_features(matrix: FeatureMatrix, path: str | Path) -> None:
@@ -248,30 +214,32 @@ def save_features(matrix: FeatureMatrix, path: str | Path) -> None:
     payload = matrix.rows.astype("<f4").tobytes(order="C")
     path.write_bytes(payload)
     sidecar = {
-        "columns": list(matrix.schema.columns),
+        "columns": list(matrix.schema),
         "rows": matrix.n_notes,
         "label": matrix.label,
         "piece_id": matrix.piece_id,
-        "normalization": matrix.normalization.to_json() if matrix.normalization else None,
+        "normalization": None,
     }
     Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
 
 
 def load_features(path: str | Path) -> FeatureMatrix:
+    """The matrix :func:`save_features` wrote; a malformed sidecar raises ValueError."""
     path = Path(path)
-    sidecar = json.loads(Path(str(path) + ".json").read_text())
-    columns = tuple(sidecar["columns"])
-    n_rows = int(sidecar["rows"])
+    try:
+        sidecar = json.loads(Path(str(path) + ".json").read_text())
+    except RecursionError as exc:
+        raise ValueError(f"{path}.json: unreadable JSON: {exc}") from exc
+    sidecar = sidecar if isinstance(sidecar, dict) else {}
+    columns, n_rows, label, piece_id = map(sidecar.get, ("columns", "rows", "label", "piece_id"))
+    columns = tuple(columns) if isinstance(columns, list) else None
+    if not (columns in COMBINATIONS.values() and type(n_rows) is int and n_rows >= 0
+            and isinstance(label, str) and isinstance(piece_id, str)):
+        raise ValueError(f"{path}.json is not an object with one combination's columns, "
+                         "a row count >= 0 and a string label and piece_id")
     payload = path.read_bytes()
     expected = n_rows * len(columns) * 4
     if len(payload) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(payload)}")
     rows = np.frombuffer(payload, dtype="<f4").reshape(n_rows, len(columns)).astype(np.float64)
-    stats = sidecar.get("normalization")
-    return FeatureMatrix(
-        schema=FeatureSchema(columns),
-        rows=rows,
-        label=sidecar["label"],
-        piece_id=sidecar["piece_id"],
-        normalization=NormStats.from_json(stats) if stats else None,
-    )
+    return FeatureMatrix(schema=columns, rows=rows, label=label, piece_id=piece_id)

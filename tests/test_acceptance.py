@@ -76,7 +76,7 @@ def _three_seed_runs(shipped, combo):
     sets = pipeline.build_split_sets(
         shipped["matrices"], shipped["assignment"], combo
     )
-    config = studies.profile_config("desk", combo=combo, segment_length=1000)
+    config = studies.profile_config("desk", segment_length=1000)
     t0 = time.perf_counter()
     agg = training.repeat_runs(config, [1, 2, 3], sets)
     TIMINGS[combo] = time.perf_counter() - t0
@@ -193,9 +193,9 @@ def test_criterion_04_feature_contracts():
         )
         parts = features.segment(matrix, length)
         assert len(parts) == n // length
-        assert all(p.rows.shape == (length, 3) for p in parts)
-        if parts:
-            stacked = np.concatenate([p.rows for p in parts])
+        assert all(p.shape == (length, 3) for p in parts)
+        if len(parts):
+            stacked = parts.reshape(-1, 3)
             assert np.array_equal(stacked, matrix.rows[: stacked.shape[0]])
     assert time.perf_counter() - start < 5.0
 

@@ -287,7 +287,7 @@ def test_extract_writes_feature_files(corpus, tmp_path, capsys):
         path = out / f"{rec.id}.f32"
         assert path.is_file() and Path(str(path) + ".json").is_file()
         matrix = features.load_features(path)
-        assert matrix.schema.columns == schema.columns
+        assert matrix.schema == schema
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["artifacts"]) == 2 * len(records)
@@ -430,7 +430,7 @@ def test_train_writes_checkpoint_and_log(trained, capsys):
     extras = header["extras"]
     assert len(extras["class_names"]) == 2
     assert extras["segment_length"] is None
-    assert extras["normalizer"]["columns"] == list(features.resolve_schema("C5").columns)
+    assert extras["normalizer"]["columns"] == list(features.resolve_schema("C5"))
     assert not {"schema", "combo", "train_seed"} & set(extras)
 
 
@@ -440,6 +440,18 @@ def test_train_manifest_records_every_setting(trained):
     assert config["epochs"] == 2 and config["length"] == "full"
     assert config["profile"] == "desk" and config["lr"] == studies.DESK_LR
     assert (config["batch-size"], config["split-seed"], config["combo"]) == (16, 7, "C5")
+
+
+def test_train_combo_reaches_the_model_through_the_split_sets(corpus, tmp_path):
+    out = tmp_path / "c4"
+    argv = ["train", "--corpus", str(corpus), "--out", str(out), "--combo", "C4",
+            "--epochs", "1", "--length", "full", "--seed", "1"]
+    assert main(argv) == 0
+    model, header = load_checkpoint(out / "checkpoint.bin")
+    assert model.config.in_features == 3
+    assert header["extras"]["normalizer"]["columns"] == list(features.COMBINATIONS["C4"])
+    pieces = scored_pieces(corpus, out / "checkpoint.bin", tmp_path / "ev")
+    assert isinstance(pieces, set) and pieces  # eval exited 0 and scored the Test split
 
 
 def test_train_refuses_overwrite(corpus, trained):
@@ -1182,8 +1194,7 @@ def test_study_rows_train_the_requested_profile(study_id, corpus, tmp_path, monk
     rows = []
 
     def record_row(config, seeds, sets, out_dir=None):
-        rows.append(config)
-        assert features.COMBINATIONS[config.combo] == sets.normalizer.columns
+        rows.append((config, sets.normalizer.columns))
         return {"mean": {}, "std": {}}
 
     monkeypatch.setattr(studies, "repeat_runs", record_row)
@@ -1195,10 +1206,10 @@ def test_study_rows_train_the_requested_profile(study_id, corpus, tmp_path, monk
         assert main(argv) == 0
     full, desk = rows[: len(rows) // 2], rows[len(rows) // 2 :]
 
-    assert {(c.lr, c.model) for c in full} == {(8e-5, None)}
-    assert {(c.lr, c.model) for c in desk} == {(studies.DESK_LR, desk_config())}
-    if study_id == "study2":
-        assert [c.combo for c in full] == list(studies.STUDY2_COMBOS)
+    assert {(c.lr, c.model) for c, _ in full} == {(8e-5, None)}
+    assert {(c.lr, c.model) for c, _ in desk} == {(studies.DESK_LR, desk_config())}
+    combos = studies.STUDY2_COMBOS if study_id == "study2" else ["C5"] * len(full)
+    assert [columns for _, columns in full] == [features.COMBINATIONS[c] for c in combos]
 
 
 def test_study3_mini_split_sensitivity(corpus, tmp_path, capsys):

@@ -28,7 +28,6 @@ from perfid.experiment.studies import (
 )
 from perfid.experiment.training import (
     EmptySplit,
-    SchemaMismatch,
     TrainConfig,
     epoch_log_to_csv,
     evaluate,
@@ -119,8 +118,6 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(segment_length=1)
-    with pytest.raises(features.UnknownCombination):
-        TrainConfig(combo="C7")
 
 
 @pytest.mark.parametrize("bad", [
@@ -138,10 +135,10 @@ def test_desk_train_config_defaults_and_overrides():
     assert config.epochs == 60
     # the desk profile names the slim architecture; train sizes it
     assert config.model.channels == (16, 24, 32, 32, 48)
-    fast = profile_config("desk", epochs=2, combo="C4")
-    assert (fast.epochs, fast.combo) == (2, "C4")
+    fast = profile_config("desk", epochs=2)
+    assert fast.epochs == 2
     assert fast.model == desk_config()
-    explicit = profile_config("desk", model=TOY_MODEL, combo="C4")
+    explicit = profile_config("desk", model=TOY_MODEL)
     assert explicit.model is TOY_MODEL
     assert STUDY1_LENGTHS[-1] is None
     assert STUDY2_COMBOS == ("C1", "C2", "C3", "C4", "C5")
@@ -163,7 +160,7 @@ TOY_MODEL = ModelConfig(
 def toy_sets(n_rows=24, seed=0):
     """Two trivially separable classes, already normalized SplitSets."""
     rng = np.random.default_rng(seed)
-    schema = features.FeatureSchema(features.COMBINATIONS["C4"])
+    schema = features.COMBINATIONS["C4"]
 
     def make(label, piece, shift):
         rows = rng.normal(loc=shift, scale=0.3, size=(n_rows, 3))
@@ -188,7 +185,7 @@ def toy_sets(n_rows=24, seed=0):
 
 def toy_config(**overrides):
     base = dict(batch_size=4, epochs=10, lr=3e-3, weight_decay=0.0,
-                segment_length=None, combo="C4", seed=1, model=TOY_MODEL)
+                segment_length=None, seed=1, model=TOY_MODEL)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -291,8 +288,6 @@ def test_train_sizes_the_model_to_the_split():
     assert sized == TOY_MODEL
     reference = train(toy_config(epochs=1, model=None), sets).model.config
     assert reference == ModelConfig(in_features=3, n_classes=2)
-    with pytest.raises(SchemaMismatch):
-        train(toy_config(combo="C5"), sets)
 
 
 def test_repeat_runs_aggregates(tmp_path):
@@ -334,7 +329,7 @@ def test_extract_corpus_keys_full_matrices_by_record(tmp_path):
     assert sorted(matrices) == sorted(r.id for r in records)
     for record in records:
         matrix = matrices[record.id]
-        assert matrix.schema.columns == features.ALL_COLUMNS
+        assert matrix.schema == features.ALL_COLUMNS
         assert matrix.n_notes > 0
         assert matrix.label == record.pianist
 
@@ -385,8 +380,8 @@ def test_build_split_sets(tmp_path):
     assert sets.class_names == ["pianist_00", "pianist_01"]
     assert (len(sets.train), len(sets.valid), len(sets.test)) == (4, 2, 2)
     for matrix in sets.train + sets.valid + sets.test:
-        assert matrix.schema.columns == features.COMBINATIONS["C4"]
-        assert matrix.normalization is not None
+        assert matrix.schema == features.COMBINATIONS["C4"]
+    assert sets.normalizer.columns == features.COMBINATIONS["C4"]
 
     stacked = np.concatenate([m.rows for m in sets.train])
     assert stacked.mean(axis=0) == pytest.approx(np.zeros(3), abs=1e-9)

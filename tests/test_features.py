@@ -12,13 +12,13 @@ from perfid.features import (
     DegenerateFit,
     EmptyTrainingSet,
     FeatureMatrix,
-    FeatureSchema,
     TooFewNotes,
     UnknownCombination,
     apply_normalizer,
     assemble,
     fit_normalizer,
     load_features,
+    resolve_schema,
     save_features,
     segment,
     subset,
@@ -46,7 +46,7 @@ def identity_match(n=10, step=0.4):
 
 def projected(match, combo, **labels):
     """``assemble``'s 13-column matrix projected onto one combination."""
-    return subset(assemble(*match, **labels), combo)
+    return subset(assemble(*match, **labels), resolve_schema(combo))
 
 
 def note_columns(notes):
@@ -123,7 +123,7 @@ def test_degenerate_fit_rejected():
 
 
 def test_combo_column_counts():
-    assert assemble(*identity_match()).schema.columns == ALL_COLUMNS
+    assert assemble(*identity_match()).schema == ALL_COLUMNS
     expected = {"C1": 7, "C2": 6, "C3": 6, "C4": 3, "C5": 13}
     for combo, count in expected.items():
         matrix = projected(identity_match(), combo)
@@ -142,22 +142,6 @@ def test_combo_contents():
 def test_unknown_combination():
     with pytest.raises(UnknownCombination):
         projected(identity_match(), "C9")
-
-
-def test_custom_schema():
-    schema = FeatureSchema(("velocity", "dev_ioi"))
-    matrix = projected(identity_match(), schema)
-    assert matrix.schema.columns == ("velocity", "dev_ioi")
-    assert matrix.rows.shape[1] == 2
-
-
-def test_schema_validation():
-    with pytest.raises(ValueError):
-        FeatureSchema(())
-    with pytest.raises(ValueError):
-        FeatureSchema(("pitch", "pitch"))
-    with pytest.raises(ValueError):
-        FeatureSchema(("dev_pitch",))
 
 
 def test_shift_invariance():
@@ -214,17 +198,17 @@ def test_segment_counts():
     assert len(segment(matrix, 10)) == 2
     assert len(segment(matrix, 25)) == 1
     assert len(segment(matrix, 26)) == 0
+    assert segment(matrix, 26).shape == (0, 26, 3)
+    assert np.shares_memory(segment(matrix, 10), matrix.rows)
     with pytest.raises(ValueError):
         segment(matrix, 1)
 
 
-def test_segment_inherits_labels():
-    matrix = projected(identity_match(8), "C4", label="someone", piece_id="op1")
+def test_segment_windows_are_consecutive_row_blocks():
+    matrix = projected(identity_match(9), "C4")
     parts = segment(matrix, 4)
-    assert [p.label for p in parts] == ["someone", "someone"]
-    assert [p.piece_id for p in parts] == ["op1", "op1"]
-    assert np.array_equal(parts[0].rows, matrix.rows[:4])
-    assert np.array_equal(parts[1].rows, matrix.rows[4:8])
+    assert np.array_equal(parts[0], matrix.rows[:4])
+    assert np.array_equal(parts[1], matrix.rows[4:8])
 
 
 @given(
@@ -234,21 +218,20 @@ def test_segment_inherits_labels():
 @settings(max_examples=200, deadline=None)
 def test_segment_conserves_rows(n_rows, length):
     rows = np.zeros((n_rows, 3))
-    matrix = FeatureMatrix(
-        schema=FeatureSchema(COMBINATIONS["C4"]), rows=rows, label="x", piece_id="y"
-    )
+    matrix = FeatureMatrix(schema=COMBINATIONS["C4"], rows=rows, label="x", piece_id="y")
     parts = segment(matrix, length)
     assert len(parts) == n_rows // length
-    assert sum(p.n_notes for p in parts) == (n_rows // length) * length
-    assert all(p.n_notes == length for p in parts)
+    assert sum(len(p) for p in parts) == (n_rows // length) * length
+    assert parts.shape[1:] == (length, 3)
+    assert np.shares_memory(parts, matrix.rows) == (len(parts) > 0)
 
 
 def test_subset_matches_direct_assembly():
     full = assemble(*identity_match(12), label="a", piece_id="b")
     for combo in ("C1", "C2", "C3", "C4"):
-        part = subset(full, combo)
-        assert part.schema.columns == COMBINATIONS[combo]
-        for k, column in enumerate(part.schema.columns):
+        part = subset(full, COMBINATIONS[combo])
+        assert part.schema == COMBINATIONS[combo]
+        for k, column in enumerate(part.schema):
             assert np.array_equal(part.rows[:, k], full.rows[:, ALL_COLUMNS.index(column)])
         assert part.label == "a" and part.piece_id == "b"
 
@@ -256,21 +239,14 @@ def test_subset_matches_direct_assembly():
 def test_subset_needs_source_columns():
     narrow = projected(identity_match(), "C4")
     with pytest.raises(UnknownCombination):
-        subset(narrow, "C5")
-
-
-def test_subset_refuses_normalized_input():
-    full = assemble(*identity_match())
-    stats = fit_normalizer([full])
-    with pytest.raises(ValueError):
-        subset(apply_normalizer(full, stats), "C4")
+        subset(narrow, ALL_COLUMNS)
 
 
 def test_normalizer_matches_two_pass_oracle():
     rng = np.random.default_rng(11)
     mats = [
         FeatureMatrix(
-            schema=FeatureSchema(COMBINATIONS["C4"]),
+            schema=COMBINATIONS["C4"],
             rows=rng.normal(5, 3, size=(rng.integers(3, 40), 3)),
             label="x",
             piece_id=str(k),
@@ -289,7 +265,7 @@ def test_normalizer_matches_two_pass_oracle():
 def test_normalizer_constant_column_floored():
     rows = np.column_stack([np.full(20, 7.0), np.arange(20.0), np.arange(20.0)])
     matrix = FeatureMatrix(
-        schema=FeatureSchema(COMBINATIONS["C4"]), rows=rows, label="x", piece_id="y"
+        schema=COMBINATIONS["C4"], rows=rows, label="x", piece_id="y"
     )
     stats = fit_normalizer([matrix])
     normalized = apply_normalizer(matrix, stats)
@@ -302,7 +278,7 @@ def test_normalizer_idempotent_on_standardized_data():
     rows = rng.normal(size=(4000, 3))
     rows = (rows - rows.mean(axis=0)) / rows.std(axis=0)
     matrix = FeatureMatrix(
-        schema=FeatureSchema(COMBINATIONS["C4"]), rows=rows, label="x", piece_id="y"
+        schema=COMBINATIONS["C4"], rows=rows, label="x", piece_id="y"
     )
     normalized = apply_normalizer(matrix, fit_normalizer([matrix]))
     assert np.allclose(normalized.rows, rows, atol=1e-6)
@@ -321,7 +297,7 @@ def test_normalizer_schema_mismatch():
 
 
 def test_matrix_validation():
-    schema = FeatureSchema(COMBINATIONS["C4"])
+    schema = COMBINATIONS["C4"]
     with pytest.raises(ValueError):
         FeatureMatrix(schema=schema, rows=np.zeros((3, 5)), label="x", piece_id="y")
     bad = np.zeros((3, 3))
@@ -335,7 +311,7 @@ def test_save_load_round_trip(tmp_path):
     target = tmp_path / "op7.f32"
     save_features(matrix, target)
     loaded = load_features(target)
-    assert loaded.schema.columns == matrix.schema.columns
+    assert loaded.schema == matrix.schema
     assert loaded.label == "p3" and loaded.piece_id == "op7"
     # payload is float32, so expect single-precision agreement only
     assert np.allclose(loaded.rows, matrix.rows, atol=1e-5)
@@ -346,5 +322,35 @@ def test_load_rejects_truncated_payload(tmp_path):
     target = tmp_path / "x.f32"
     save_features(matrix, target)
     target.write_bytes(target.read_bytes()[:-4])
+    with pytest.raises(ValueError):
+        load_features(target)
+
+
+C4_SIDECAR = '"columns": ["dev_velocity", "dev_duration", "dev_ioi"], '
+MALFORMED_SIDECARS = {
+    "list": "[]",
+    "null": "null",
+    "string": '"C4"',
+    "deeply-nested": "[" * 100_000,
+    "columns-number": '{"columns": 5, "rows": 8, "label": "x", "piece_id": "y"}',
+    "columns-no-combination": '{"columns": ["dev_velocity", "dev_ioi", "dev_duration"], '
+                              '"rows": 8, "label": "x", "piece_id": "y"}',
+    "columns-nested": '{"columns": [["dev_velocity"]], "rows": 8, "label": "x", "piece_id": "y"}',
+    "columns-missing": '{"rows": 8, "label": "x", "piece_id": "y"}',
+    "rows-string": "{" + C4_SIDECAR + '"rows": "8", "label": "x", "piece_id": "y"}',
+    "rows-float": "{" + C4_SIDECAR + '"rows": 8.0, "label": "x", "piece_id": "y"}',
+    "rows-negative": "{" + C4_SIDECAR + '"rows": -1, "label": "x", "piece_id": "y"}',
+    "rows-bool": "{" + C4_SIDECAR + '"rows": true, "label": "x", "piece_id": "y"}',
+    "rows-null": "{" + C4_SIDECAR + '"rows": null, "label": "x", "piece_id": "y"}',
+    "label-number": "{" + C4_SIDECAR + '"rows": 8, "label": 3, "piece_id": "y"}',
+    "piece-id-missing": "{" + C4_SIDECAR + '"rows": 8, "label": "x"}',
+}
+
+
+@pytest.mark.parametrize("sidecar", MALFORMED_SIDECARS.values(), ids=MALFORMED_SIDECARS)
+def test_load_rejects_malformed_sidecar(tmp_path, sidecar):
+    target = tmp_path / "x.f32"
+    save_features(projected(identity_match(8), "C4"), target)
+    (tmp_path / "x.f32.json").write_text(sidecar)
     with pytest.raises(ValueError):
         load_features(target)
