@@ -261,8 +261,7 @@ def _make_score(rng: np.random.Generator, n_notes: int) -> NoteList:
     steps = rng.integers(-3, 4, size=n_notes)
     degree = np.clip(np.cumsum(steps) + len(_DIATONIC) // 2, 0, len(_DIATONIC) - 1)
     velocities = rng.integers(58, 72, size=n_notes)
-    return NoteList(np.array(_DIATONIC)[degree], onsets, onsets + iois * 0.85, velocities,
-                    ticks_per_quarter=480)
+    return NoteList(np.array(_DIATONIC)[degree], onsets, onsets + iois * 0.85, velocities)
 
 
 def render_performance(score: NoteList, style: StyleConfig,
@@ -314,7 +313,7 @@ def render_performance(score: NoteList, style: StyleConfig,
     extra = np.stack([np.clip(wrong, 0, 127), extra_onset, extra_onset + duration[at] * 0.5,
                       np.clip(velocity[at] - 8, 1, 127)], axis=1)
     rows = np.insert(rows, at + 1, extra, axis=0)
-    return NoteList(*rows.T, ticks_per_quarter=score.ticks_per_quarter).sorted()
+    return NoteList(*rows.T).sorted()
 
 
 def synth_generate(styles: list[StyleConfig], n_pieces: int, perf_per_cell: int,

@@ -2,8 +2,10 @@
 
 Performances and scores are flattened to a single ordered note stream with
 absolute times in seconds, which is all the downstream alignment and
-feature code needs. Meta events other than tempo are skipped; sustain
-pedal is not modelled (offsets are taken as transcribed).
+feature code needs. Tempo events convert ticks to seconds and every other
+meta event is skipped; sustain pedal is not modelled (offsets are taken
+as transcribed). The writer serves the synthetic corpus, which always
+uses 480 ticks per quarter and the default tempo.
 
 A ``NoteList`` holds that stream as five equal-length columns: int64
 ``pitch``, ``velocity`` and ``channel``, float64 ``onset``/``offset``
@@ -15,13 +17,13 @@ object stands for a single note.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_TEMPO = 500000  # microseconds per quarter note
+TICKS_PER_QUARTER = 480  # the division write_midi writes
 MAX_TICK = (1 << 28) - 1  # the largest delta a 4-byte variable-length quantity holds
-MAX_TEMPO = (1 << 24) - 1  # a tempo event holds 3 bytes
 COLUMNS = (("pitch", np.int64), ("onset", np.float64), ("offset", np.float64),
            ("velocity", np.int64), ("channel", np.int64))
 
@@ -48,7 +50,7 @@ def _check_notes(pitch, onset, offset, velocity, channel) -> None:
 
 @dataclass(eq=False)
 class NoteList:
-    """Notes as five equal-length 1-D columns plus the tempo map.
+    """Notes as five equal-length 1-D columns.
 
     ``pitch``, ``velocity`` and ``channel`` are int64, ``onset`` and
     ``offset`` float64 seconds; row k of every column is note k. Lists from
@@ -57,9 +59,6 @@ class NoteList:
     their dtypes and checks every note's ranges, raising ValueError for
     the first bad value, but does not sort. A missing ``channel`` puts
     every note on channel 0.
-    ``tempo_map`` holds (tick, microseconds per quarter) entries sorted by
-    tick with the first entry at tick 0. ``n_unterminated`` counts note-ons
-    that had no matching off and were closed at track end.
     """
 
     pitch: np.ndarray
@@ -67,9 +66,6 @@ class NoteList:
     offset: np.ndarray
     velocity: np.ndarray
     channel: np.ndarray | None = None
-    ticks_per_quarter: int = 480
-    tempo_map: list[tuple[int, int]] = field(default_factory=lambda: [(0, DEFAULT_TEMPO)])
-    n_unterminated: int = 0
 
     def __post_init__(self):
         if self.channel is None:
@@ -86,7 +82,7 @@ class NoteList:
     def sorted(self) -> NoteList:
         """The notes in (onset, pitch, channel) order, equal keys kept in place."""
         order = np.lexsort((self.channel, self.pitch, self.onset))
-        return replace(self, **{name: getattr(self, name)[order] for name, _ in COLUMNS})
+        return NoteList(*(getattr(self, name)[order] for name, _ in COLUMNS))
 
 
 def _read_varlen(data: bytes, pos: int, end: int) -> tuple[int, int]:
@@ -102,42 +98,27 @@ def _read_varlen(data: bytes, pos: int, end: int) -> tuple[int, int]:
     raise MalformedHeader("variable-length quantity longer than 4 bytes")
 
 
-class _TempoMap:
-    """Piecewise-linear tick<->second conversion of whole arrays."""
-
-    def __init__(self, entries: list[tuple[int, int]], ticks_per_quarter: int):
-        self.entries = entries
-        self.tpq = ticks_per_quarter
-        times = [0.0]
-        for (t0, tempo), (t1, _) in zip(entries, entries[1:]):
-            times.append(times[-1] + (t1 - t0) * tempo / (1e6 * self.tpq))
-        self.times = np.array(times)
-        self.ticks = np.array([t for t, _ in entries], dtype=np.int64)
-        self.tempos = np.array([tempo for _, tempo in entries], dtype=np.float64)
-
-    def to_seconds(self, ticks: np.ndarray) -> np.ndarray:
-        # tick differences and tempos are exact in float64, so their product
-        # is the exact integer product rounded once
-        i = np.searchsorted(self.ticks, ticks, side="right") - 1
-        elapsed = (ticks - self.ticks[i]).astype(np.float64)
-        return self.times[i] + elapsed * self.tempos[i] / (1e6 * self.tpq)
-
-    def to_ticks(self, seconds: np.ndarray) -> np.ndarray:
-        """Nearest ticks as float64, so an out-of-range time stays visible."""
-        i = np.maximum(np.searchsorted(self.times, seconds, side="right") - 1, 0)
-        beats = (seconds - self.times[i]) * 1e6 * self.tpq / self.tempos[i]
-        return self.ticks[i] + np.rint(beats)
-
-
-def _normalize_tempo_map(raw: dict[int, int]) -> list[tuple[int, int]]:
-    entries = sorted(raw.items())
-    if not entries or entries[0][0] != 0:
-        entries.insert(0, (0, DEFAULT_TEMPO))
-    return entries
+def _to_seconds(ticks: np.ndarray, tempo_map: list[tuple[int, int]],
+                division: int) -> np.ndarray:
+    """Seconds of each tick under ``tempo_map``, piecewise linear between entries."""
+    times = [0.0]
+    for (t0, tempo), (t1, _) in zip(tempo_map, tempo_map[1:]):
+        times.append(times[-1] + (t1 - t0) * tempo / (1e6 * division))
+    starts = np.array([t for t, _ in tempo_map], dtype=np.int64)
+    tempos = np.array([tempo for _, tempo in tempo_map], dtype=np.float64)
+    # tick differences and tempos are exact in float64, so their product
+    # is the exact integer product rounded once
+    i = np.searchsorted(starts, ticks, side="right") - 1
+    elapsed = (ticks - starts[i]).astype(np.float64)
+    return np.array(times)[i] + elapsed * tempos[i] / (1e6 * division)
 
 
 def _scan(data: bytes):
-    """``parse_midi``'s event loop: division, raw notes, tempo map, unterminated."""
+    """``parse_midi``'s event loop: division, raw notes and tempo map.
+
+    The tempo map is (tick, microseconds per quarter) entries sorted by
+    tick, the first at tick 0 (the default tempo unless an event sets it).
+    """
     if len(data) < 14 or data[:4] != b"MThd":
         raise MalformedHeader("missing MThd magic")
     header_len = struct.unpack(">I", data[4:8])[0]
@@ -154,8 +135,7 @@ def _scan(data: bytes):
         raise MalformedHeader("zero ticks per quarter")
 
     raw_notes: list[tuple[int, int, int, int, int]] = []  # on, off, pitch, vel, ch
-    tempo_events: dict[int, int] = {}
-    n_unterminated = 0
+    tempo_events = {0: DEFAULT_TEMPO}
 
     pos = 8 + header_len
     tracks_seen = 0
@@ -233,11 +213,10 @@ def _scan(data: bytes):
 
         for (channel, pitch), stack in active.items():
             for on_tick, on_vel in stack:
-                n_unterminated += 1
                 if tick > on_tick:
                     raw_notes.append((on_tick, tick, pitch, on_vel, channel))
 
-    return division, raw_notes, _normalize_tempo_map(tempo_events), n_unterminated
+    return division, raw_notes, sorted(tempo_events.items())
 
 
 def parse_midi(data: bytes) -> NoteList:
@@ -245,15 +224,14 @@ def parse_midi(data: bytes) -> NoteList:
 
     All tracks are merged into one stream. Note-ons pair with the next
     matching off (or velocity-0 on) on the same pitch and channel,
-    first-in-first-out; unterminated note-ons are closed at track end and
-    counted in ``n_unterminated``. Zero-duration on/off pairs are dropped.
+    first-in-first-out; unterminated note-ons are closed at track end.
+    Zero-duration on/off pairs are dropped.
     """
-    division, raw_notes, tempo_map, n_unterminated = _scan(data)
+    division, raw_notes, tempo_map = _scan(data)
     on, off, pitch, velocity, channel = np.array(raw_notes, dtype=np.int64).reshape(-1, 5).T
-    tmap = _TempoMap(tempo_map, division)
     try:
-        notes = NoteList(pitch, tmap.to_seconds(on), tmap.to_seconds(off), velocity, channel,
-                         division, tempo_map, n_unterminated)
+        notes = NoteList(pitch, _to_seconds(on, tempo_map, division),
+                         _to_seconds(off, tempo_map, division), velocity, channel)
     except ValueError as exc:  # a zero tempo leaves a note without duration
         raise MalformedHeader(f"bad note: {exc}") from exc
     return notes.sorted()
@@ -262,65 +240,50 @@ def parse_midi(data: bytes) -> NoteList:
 def write_midi(note_list: NoteList) -> bytes:
     """Serialize a NoteList as a single-track SMF format 0 file.
 
-    Times are quantized back to ticks through the tempo map, so a
+    The file has TICKS_PER_QUARTER ticks per quarter and one DEFAULT_TEMPO
+    event at tick 0. Times are quantized to the nearest tick, so a
     parse(write(x)) round trip preserves pitch/velocity exactly and times
-    to within one tick. The track is built from arrays: one row per tempo,
-    note-on and note-off event, sorted by (tick, tempo before off before
-    on, payload bytes), then each row's variable-length delta and payload
-    are kept through a byte mask into one buffer.
+    to within one tick. The track is built from arrays: one row per
+    note-on and note-off event, sorted by (tick, off before on, payload
+    bytes), then each row's variable-length delta and payload are kept
+    through a byte mask into one buffer.
 
-    Raises ValueError, before building any byte, for ticks per quarter
-    outside [1, 0x7FFF], the first tempo outside [1, MAX_TEMPO] or at a
-    tick outside [0, MAX_TICK], and the first note whose on or off tick
-    falls outside [0, MAX_TICK]: a negative onset, or a time past what a
-    4-byte delta from tick 0 reaches (77 hours at 480 ticks per quarter
-    and the default tempo).
+    Raises ValueError, before building any byte, for the first note whose
+    on or off tick falls outside [0, MAX_TICK]: a negative onset, or a
+    time past what a 4-byte delta from tick 0 reaches (77 hours).
     """
-    tpq = note_list.ticks_per_quarter
-    if not 1 <= tpq <= 0x7FFF:
-        raise ValueError(f"ticks per quarter {tpq} outside [1, 32767]")
-    tmap = _TempoMap(_normalize_tempo_map(dict(note_list.tempo_map)), tpq)
-    bad = np.flatnonzero(~((tmap.tempos >= 1) & (tmap.tempos <= MAX_TEMPO)
-                           & (tmap.ticks >= 0) & (tmap.ticks <= MAX_TICK)))
-    if bad.size:
-        tick, tempo = tmap.entries[bad[0]]
-        raise ValueError(f"tempo {tempo} at tick {tick}: want [1, {MAX_TEMPO}] "
-                         f"at a tick in [0, {MAX_TICK}]")
-    on = tmap.to_ticks(note_list.onset)
-    off = np.maximum(tmap.to_ticks(note_list.offset), on + 1)
+    on = np.rint(note_list.onset * 1e6 * TICKS_PER_QUARTER / DEFAULT_TEMPO)
+    off = np.maximum(np.rint(note_list.offset * 1e6 * TICKS_PER_QUARTER / DEFAULT_TEMPO), on + 1)
     bad = np.flatnonzero(~((on >= 0) & (off <= MAX_TICK)))
     if bad.size:
         k = bad[0]
         raise ValueError(f"note {k} (onset {note_list.onset[k]} s, offset "
                          f"{note_list.offset[k]} s) falls outside ticks [0, {MAX_TICK}]")
 
-    n, n_tempo = len(note_list), len(tmap.entries)
-    tick = np.concatenate([tmap.ticks, on.astype(np.int64), off.astype(np.int64)])
-    # priority: tempo changes, then offs, then ons at equal ticks
-    priority = np.repeat(np.array([0, 2, 1], dtype=np.uint8), [n_tempo, n, n])
-    payload = np.zeros((n_tempo + 2 * n, 6), dtype=np.uint8)
-    payload[:n_tempo, :3] = (0xFF, 0x51, 0x03)
-    payload[:n_tempo, 3:] = (tmap.tempos.astype(np.int64)[:, None] >> [16, 8, 0]) & 0xFF
-    payload[n_tempo:n_tempo + n, 0] = 0x90 | note_list.channel
-    payload[n_tempo + n:, 0] = 0x80 | note_list.channel
-    payload[n_tempo:, 1] = np.tile(note_list.pitch, 2)
-    payload[n_tempo:n_tempo + n, 2] = note_list.velocity
-    order = np.lexsort((payload[:, 2], payload[:, 1], payload[:, 0], priority, tick))
+    n = len(note_list)
+    tick = np.concatenate([on, off]).astype(np.int64)
+    payload = np.zeros((2 * n, 3), dtype=np.uint8)
+    payload[:n, 0] = 0x90 | note_list.channel
+    payload[n:, 0] = 0x80 | note_list.channel
+    payload[:, 1] = np.tile(note_list.pitch, 2)
+    payload[:n, 2] = note_list.velocity
+    # at equal ticks, status 0x8n sorts every off before every on (0x9n)
+    order = np.lexsort((payload[:, 2], payload[:, 1], payload[:, 0], tick))
     tick, payload = tick[order], payload[order]
 
-    # each event as 10 bytes, 4 of delta (7 bits each, most significant
-    # first) and 6 of payload; the mask keeps the delta's bytes from its
-    # highest nonzero one on, and the payload's length
+    # each event as 7 bytes, 4 of delta (7 bits each, most significant
+    # first) and 3 of payload; the mask keeps the delta's bytes from its
+    # highest nonzero one on, and the payload
     delta = np.diff(tick, prepend=0)
-    rows = np.empty((len(tick), 10), dtype=np.uint8)
+    rows = np.empty((len(tick), 7), dtype=np.uint8)
     rows[:, :4] = (delta[:, None] >> [21, 14, 7, 0]) & 0x7F
     rows[:, :3] |= 0x80
     rows[:, 4:] = payload
     keep = np.empty(rows.shape, dtype=bool)
     keep[:, :4] = delta[:, None] >= [1 << 21, 1 << 14, 1 << 7, 0]  # least delta using each
-    keep[:, 4:7] = True
-    keep[:, 7:] = (order < n_tempo)[:, None]
-    body = rows[keep].tobytes() + bytes([0x00, 0xFF, 0x2F, 0x00])
+    keep[:, 4:] = True
+    tempo = bytes([0x00, 0xFF, 0x51, 0x03]) + DEFAULT_TEMPO.to_bytes(3, "big")
+    body = tempo + rows[keep].tobytes() + bytes([0x00, 0xFF, 0x2F, 0x00])
 
-    header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, tpq)
+    header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, TICKS_PER_QUARTER)
     return header + b"MTrk" + struct.pack(">I", len(body)) + body

@@ -21,6 +21,9 @@ import numpy as np
 
 from .tensor import Tensor
 
+BN_MOMENTUM = 0.1  # batch norm's running-statistics update weight
+BN_EPS = 1e-5  # added to batch norm's variance before the square root
+
 
 class ShapeMismatch(ValueError):
     """Operands disagree on a dimension the op needs to agree."""
@@ -139,8 +142,6 @@ def batchnorm1d(
     running_var: np.ndarray,
     training: bool,
     lengths: np.ndarray | None = None,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Batch normalization over (batch, length) per channel, with masking.
 
@@ -179,14 +180,14 @@ def batchnorm1d(
         centered *= mask
     if training:
         var = (centered * centered).sum(axis=(0, 2)) / count
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
     else:
         var = running_var.astype(x.data.dtype)
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = centered * inv_std[None, :, None]
     out = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
     if mask is not None:

@@ -82,10 +82,10 @@ def sorted_notes(notes):
     return sorted(notes, key=lambda n: (n.onset, n.pitch, n.channel))
 
 
-def from_notes(notes, **kwargs):
-    """NoteList whose row k is ``notes[k]``; ``kwargs`` set the other fields."""
+def from_notes(notes):
+    """NoteList whose row k is ``notes[k]``."""
     columns = [[getattr(n, name) for n in notes] for name, _ in midi_io.COLUMNS]
-    return NoteList(*columns, **kwargs)
+    return NoteList(*columns)
 
 
 def note_list(events, duration=0.1, velocity=64):
@@ -102,7 +102,7 @@ def parse_per_note(data):
     """Reference for ``perfid.midi_io.parse_midi``'s notes: one bisect
     tick-to-second conversion and one ``Note`` per note, then a keyed sort.
     Reads the same note events, so the two must agree bit for bit."""
-    division, raw_notes, tempo_map, _ = midi_io._scan(data)
+    division, raw_notes, tempo_map = midi_io._scan(data)
     ticks = [t for t, _ in tempo_map]
     times = [0.0]
     for (t0, tempo), (t1, _) in zip(tempo_map, tempo_map[1:]):
@@ -121,9 +121,10 @@ def parse_per_note(data):
 
 def write_midi_loop(note_list):
     """Reference for ``perfid.midi_io.write_midi`` on writable input: one
-    (tick, priority, payload) tuple per event, a keyed sort, and one
-    variable-length delta per event. The array writer sorts on the same
-    keys and encodes the same deltas, so the two must agree byte for byte.
+    tick rounded by ``round`` per time, one (tick, priority, payload) tuple
+    per event, a keyed sort, and one variable-length delta per event. The
+    array writer rounds the same products, sorts on the same keys and
+    encodes the same deltas, so the two must agree byte for byte.
     """
 
     def varlen(value):
@@ -134,18 +135,15 @@ def write_midi_loop(note_list):
             value >>= 7
         return bytes(reversed(chunks))
 
-    tpq = note_list.ticks_per_quarter
-    tmap = midi_io._TempoMap(midi_io._normalize_tempo_map(dict(note_list.tempo_map)), tpq)
+    tpq, tempo = midi_io.TICKS_PER_QUARTER, midi_io.DEFAULT_TEMPO
 
-    # priority: tempo changes, then offs, then ons at equal ticks
-    events = []
-    for tick, tempo in tmap.entries:
-        events.append((tick, 0, bytes([0xFF, 0x51, 0x03]) + tempo.to_bytes(3, "big")))
-    on = tmap.to_ticks(note_list.onset).astype(np.int64)
-    off = np.maximum(tmap.to_ticks(note_list.offset).astype(np.int64), on + 1)
-    rows = zip(on.tolist(), off.tolist(), note_list.pitch.tolist(),
+    # priority: the tempo, then offs, then ons at equal ticks
+    events = [(0, 0, bytes([0xFF, 0x51, 0x03]) + tempo.to_bytes(3, "big"))]
+    rows = zip(note_list.onset.tolist(), note_list.offset.tolist(), note_list.pitch.tolist(),
                note_list.velocity.tolist(), note_list.channel.tolist())
-    for on_tick, off_tick, pitch, velocity, channel in rows:
+    for onset, offset, pitch, velocity, channel in rows:
+        on_tick = round(onset * 1e6 * tpq / tempo)  # round half to even, as np.rint
+        off_tick = max(round(offset * 1e6 * tpq / tempo), on_tick + 1)
         events.append((on_tick, 2, bytes([0x90 | channel, pitch, velocity])))
         events.append((off_tick, 1, bytes([0x80 | channel, pitch, 0])))
     events.sort(key=lambda e: (e[0], e[1], e[2]))
@@ -192,7 +190,7 @@ def render_performance_loop(score, style, rng):
             rows.append((min(max(wrong, 0), 127), extra_onset, extra_onset + duration * 0.5,
                          min(max(velocity - 8, 1), 127)))
     columns = np.array(rows, dtype=np.float64).reshape(-1, 4).T
-    return NoteList(*columns, ticks_per_quarter=score.ticks_per_quarter).sorted()
+    return NoteList(*columns).sorted()
 
 
 def pairs_of(alignment):
@@ -375,7 +373,7 @@ def relu_expression(x):
 
 
 def batchnorm1d_expression(x, gamma, beta, running_mean, running_var, training,
-                           lengths=None, momentum=0.1, eps=1e-5):
+                           lengths=None):
     """Reference for ``ops.batchnorm1d``: ``xhat`` recomputed from ``x`` and
     used in ``x``'s layout by the backward pass."""
     batch, _, length = x.data.shape
@@ -392,14 +390,14 @@ def batchnorm1d_expression(x, gamma, beta, running_mean, running_var, training,
         if mask is not None:
             centered = centered * mask
         var = (centered * centered).sum(axis=(0, 2)) / count
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 1.0 - ops.BN_MOMENTUM
+        running_mean += ops.BN_MOMENTUM * mean
+        running_var *= 1.0 - ops.BN_MOMENTUM
+        running_var += ops.BN_MOMENTUM * var
     else:
         mean = running_mean.astype(x.data.dtype)
         var = running_var.astype(x.data.dtype)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + ops.BN_EPS)
     xhat = (x.data - mean[None, :, None]) * inv_std[None, :, None]
     if mask is not None:
         xhat = xhat * mask

@@ -1,6 +1,7 @@
 """Every module under ``src/perfid`` uses each name it imports, and every
 module-level function and class, and each non-dunder method of such a
-class, has a caller outside the tests.
+class, has a caller outside the tests, and so does each dataclass field:
+some module outside the tests reads it as an attribute.
 
 The project depends on no linter, so these stdlib ``ast`` walks stand in
 for pyflakes' unused-import check and for a dead-code scan. Package
@@ -108,3 +109,45 @@ def test_the_check_sees_an_unused_import():
         "def f() -> 'b':\n    sys.exit()\n"
     )
     assert unused_imports(source) == ["line 1: os", "line 3: d"]
+
+
+def dataclass_fields(tree: ast.Module):
+    """(class name, field name) of each annotated field of a module-level
+    class decorated with ``dataclass`` or ``dataclass(...)``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in (getattr(d, "id", None), getattr(d, "attr", None))
+            for d in (getattr(d, "func", d) for d in node.decorator_list)
+        ):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def unread_fields(defining: dict[str, str], callers: list[str]) -> list[str]:
+    """``module:Class.field`` of each dataclass field in ``defining`` (module
+    name to source) that no source in ``callers`` loads as ``x.field``."""
+    read = {node.attr for source in callers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [
+        f"{module}:{cls}.{name}"
+        for module, source in defining.items()
+        for cls, name in dataclass_fields(ast.parse(source))
+        if name not in read
+    ]
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    defining = {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in MODULES}
+    assert unread_fields(defining, [p.read_text() for p in CALLERS]) == []
+
+
+def test_the_field_check_sees_an_unread_field():
+    module = (
+        "from dataclasses import dataclass\nimport dataclasses\n\n"
+        "@dataclass\nclass A:\n    read: int\n    written: int = 0\n\n"
+        "@dataclasses.dataclass(frozen=True)\nclass B:\n    idle: int\n\n"
+        "class Plain:\n    loose: int\n"
+    )
+    caller = "a = A(1)\na.written = 2\nprint(a.read, B(0))\n"
+    assert unread_fields({"m.py": module}, [caller]) == ["m.py:A.written", "m.py:B.idle"]

@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 import perfid
 from helpers import Note, from_notes, notes_of, parse_per_note, write_midi_loop
 from perfid.midi_io import (
-    DEFAULT_TEMPO,
-    MAX_TEMPO,
     MalformedHeader,
     NoteList,
     UnsupportedFormat,
@@ -73,7 +71,6 @@ def test_single_note_default_tempo():
 def test_empty_track():
     result = parse_midi(smf([track([])]))
     assert len(result) == 0
-    assert result.tempo_map == [(0, DEFAULT_TEMPO)]
 
 
 def test_two_tempo_integration():
@@ -127,7 +124,6 @@ def test_fifo_pairing_overlapping_same_pitch():
 def test_unterminated_note_closed_at_track_end():
     data = smf([track([(0, on(60, 64)), (100, on(62, 64)), (380, off(62))], end_delta=120)])
     result = parse_midi(data)
-    assert result.n_unterminated == 1
     pitches = [n.pitch for n in notes_of(result)]
     assert pitches == [60, 62]
     closed = [n for n in notes_of(result) if n.pitch == 60][0]
@@ -197,7 +193,9 @@ def test_parse_equals_oracle_on_unterminated_notes():
     events = [(0, tempo_event(600000)), (0, on(60, 64)), (10, on(61, 65, ch=2)),
               (10, on(60, 66)), (50, off(60)), (100, on(62, 67)), (0, on(63, 68, ch=9))]
     result = assert_columns_equal_oracle(smf([track(events, end_delta=333)]))
-    assert result.n_unterminated == 4
+    # the four notes left on are closed at the track's end, tick 503
+    assert len(result) == 5
+    assert np.isclose(result.offset, 503 * 600000 / (1e6 * 480)).sum() == 4
 
 
 def test_parse_equals_oracle_on_onset_and_pitch_ties_across_channels():
@@ -283,8 +281,15 @@ def test_note_event_data_byte_rejected():
 
 def test_fuzzed_files_parse_or_raise_typed_errors():
     """Mutated and truncated files end in a NoteList or a typed error."""
-    notes = [Note(36 + i % 48, i * 0.25, i * 0.25 + 0.2, 20 + i) for i in range(60)]
-    base = write_midi(from_notes(notes, tempo_map=[(0, 500000), (960, 400000)]))
+    # 60 notes at 960 ticks per quarter and a tempo change at tick 960, so
+    # mutations hit tempo events too
+    timed = [(0, tempo_event(500000)), (960, tempo_event(400000))]
+    for i in range(60):
+        timed += [(i * 480, on(36 + i % 48, 20 + i)), (i * 480 + 384, off(36 + i % 48))]
+    timed.sort(key=lambda event: event[0])
+    ticks = [0] + [tick for tick, _ in timed]
+    base = smf([track([(tick - previous, payload)
+                       for previous, (tick, payload) in zip(ticks, timed)])], tpq=960, fmt=0)
     outcomes = set()
     for case in range(3000):
         rng = random.Random(case)
@@ -343,21 +348,11 @@ def test_round_trip_is_idempotent(note_list):
     assert notes_of(once) == notes_of(twice)
 
 
-def test_round_trip_keeps_tempo_map():
-    notes = [Note(60, 0.0, 0.5, 64), Note(62, 1.0, 1.5, 64)]
-    source = from_notes(notes, tempo_map=[(0, 500000), (480, 250000)])
-    result = parse_midi(write_midi(source))
-    assert result.tempo_map == [(0, 500000), (480, 250000)]
-
-
 @st.composite
 def writable_note_lists(draw):
     """Lists every tick of which fits a 4-byte delta: several channels, notes
     on one grid (equal ticks across channels), offsets that quantize onto
-    their onset, late notes that need 2- to 4-byte deltas, and tempo maps
-    with several entries, with or without one at tick 0."""
-    tempos = st.integers(50_000, MAX_TEMPO)
-    tempo_map = dict(draw(st.lists(st.tuples(st.integers(0, 10**6), tempos), max_size=4)))
+    their onset, and late notes that need 2- to 4-byte deltas."""
     n = draw(st.integers(0, 40))
     onset = draw(st.lists(st.one_of(st.integers(0, 40).map(lambda k: 0.125 * k),
                                     st.floats(0, 10_000)), min_size=n, max_size=n))
@@ -366,9 +361,7 @@ def writable_note_lists(draw):
     columns = [draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
                for lo, hi in ((0, 127), (1, 127), (0, 15))]
     offset = [t + d for t, d in zip(onset, length)]
-    return NoteList(columns[0], onset, offset, *columns[1:],
-                    ticks_per_quarter=draw(st.sampled_from([96, 480, 960])),
-                    tempo_map=sorted(tempo_map.items()))
+    return NoteList(columns[0], onset, offset, *columns[1:])
 
 
 @given(writable_note_lists())
@@ -385,11 +378,8 @@ def test_writer_matches_the_per_event_loop_on_the_empty_list():
 
 @pytest.mark.parametrize("notes, expected", [
     ("NoteList([60], [-1.0], [0.5], [64])", "onset -1.0 s"),
-    ("NoteList([60], [0.0], [0.5], [64], tempo_map=[(0, 0)])", "tempo 0 at tick 0"),
-    ("NoteList([60], [0.0], [0.5], [64], tempo_map=[(0, 1 << 24)])", "tempo 16777216"),
     ("NoteList([60], [600000.0], [600000.5], [64])", "onset 600000.0 s"),
-    ("NoteList([60], [0.0], [0.5], [64], ticks_per_quarter=0)", "ticks per quarter 0"),
-], ids=["negative-onset", "zero-tempo", "tempo-2^24", "note-at-600000s", "zero-division"])
+], ids=["negative-onset", "note-at-600000s"])
 def test_writer_refuses_what_it_cannot_write(notes, expected):
     # in a child process, so a writer that loops forever fails here rather than hangs
     code = textwrap.dedent(f"""

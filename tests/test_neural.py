@@ -150,7 +150,7 @@ def test_batchnorm_updates_running_buffers():
     x = Tensor(rng.standard_normal((4, 2, 10)))
     run_m, run_v = np.zeros(2), np.ones(2)
     batchnorm1d(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), run_m, run_v,
-                training=True, momentum=0.1)
+                training=True)
     mean = x.data.mean(axis=(0, 2))
     var = x.data.var(axis=(0, 2))
     assert run_m == pytest.approx(0.1 * mean)
@@ -161,8 +161,9 @@ def test_batchnorm_eval_closed_form():
     x = Tensor(np.array([[[1.0, 2.0, 3.0]]]))
     run_m, run_v = np.array([2.0]), np.array([4.0])
     out = batchnorm1d(x, Tensor(np.array([3.0])), Tensor(np.array([0.5])),
-                      run_m, run_v, training=False, eps=0.0).data
-    assert out[0, 0] == pytest.approx(3.0 * (np.array([1.0, 2.0, 3.0]) - 2.0) / 2.0 + 0.5)
+                      run_m, run_v, training=False).data
+    want = 3.0 * (np.array([1.0, 2.0, 3.0]) - 2.0) / np.sqrt(4.0 + ops.BN_EPS) + 0.5
+    assert out[0, 0] == pytest.approx(want)
 
 
 def test_batchnorm_batch_too_small():
