@@ -22,11 +22,14 @@ greedy path of nearest notes and every path already solved for this
 performance, each costed under the pass's own map. Since a path through
 cell (i, j) skips at least |i - j| + |(n - m) - (i - j)| notes, no path of
 cost <= C leaves the diagonals within reach of that many skips (Ukkonen's
-cutoff), so the band needs no widen-and-retry. Within one ``align`` call
-each time map is solved at most once, and not at all when a known path
-already costs no more than the proxy bound plus the score notes any path
-must skip: that path is optimal. On takes without wrong notes the greedy
-path usually is.
+cutoff), so the band needs no widen-and-retry. A pass keeps the floats
+of one block of band rows and two backtrack bits per band cell, so even
+a take that does not fit its score, whose band spans every diagonal,
+costs a quarter byte per cell rather than a float64 table. Within one
+``align`` call each time map is solved at most once, and not at all when
+a known path already costs no more than the proxy bound plus the score
+notes any path must skip: that path is optimal. On takes without wrong
+notes the greedy path usually is.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ SKIP_PENALTY = 1.0
 MAX_REFINEMENTS = 2  # time-map refits after the first DP pass in one convergence
 OFFSET_WINDOW = 0.4  # seconds; width of an anchor-offset plateau
 MAX_OFFSET_CANDIDATES = 8
-DP_BLOCK = 128  # DP rows whose match costs are built at once
+DP_BLOCK_CELLS = 2**15  # band cells per block of DP rows computed at once
 
 
 class EmptyInput(ValueError):
@@ -128,7 +131,6 @@ def _dp_match(
     score_mapped: np.ndarray,
     score_pitch: np.ndarray,
     bound: float,
-    table: np.ndarray,
 ) -> list[tuple[int, int]]:
     """Minimum-cost monotonic matching for one fixed time map.
 
@@ -140,11 +142,19 @@ def _dp_match(
     score notes. Under that shift both skips cost 0 and a match costs its
     onset distance minus two skips, so a row is a diagonal add, a minimum
     with the row above and a running minimum for the left neighbour. The
-    values equal ``dp - i - j`` up to rounding, every cell a path within
-    the bound visits is in the band, and the backtrack's tolerance absorbs
-    the rounding, so the pairs equal the dense table's. ``table`` is
-    float64 scratch of at least (n + 1) * (m + 3) values; only the band's
-    share of it is written.
+    values equal ``dp - i - j`` up to rounding, and every cell a path
+    within the bound visits is in the band.
+
+    Rows are computed in blocks of about ``DP_BLOCK_CELLS`` cells, and only
+    the current block and the row above it are kept. Each band cell leaves
+    two bits: whether it is reached from its diagonal neighbour by a match,
+    and whether from the row above by skipping a performance note, each
+    within a tolerance of ``1e-9 * max(1, bound)``. The backtrack walks
+    these bits with the dense table's priority (match, then skip the
+    performance note, then the score note). The bound is at least the
+    optimum, so that tolerance still lies far below any meaningful cost
+    difference while it absorbs the shift's rounding, and the pairs equal
+    the dense table's. Memory is two bits per band cell.
     """
     n, m = len(perf_on), len(score_mapped)
     diff = n - m
@@ -154,19 +164,34 @@ def _dp_match(
     # row i holds columns [start[i], start[i] + w) in slots 1..w; slots 0
     # and w + 1 are inf sentinels, so out-of-band neighbours read as inf
     start = np.clip(np.arange(n + 1) - d_hi, 0, m + 1 - w)
-    flat = table[: (n + 1) * (w + 2)]
-    f = flat.reshape(n + 1, w + 2)
+    # the band moves one column right from row i - 1 to row i exactly for
+    # rows i in (d_hi, d_hi + m + 1 - w]; no block straddles an end of that
+    # range, so each block's neighbours sit at one fixed offset
+    cut, uncut = np.clip([d_hi, d_hi + m + 1 - w], 0, n).tolist()
+    rows = min(n, max(1, DP_BLOCK_CELLS // w))
+    blocks = [
+        (lo, min(end, lo + rows), shift)
+        for begin, end, shift in ((0, cut, 0), (cut, uncut, 1), (uncut, n, 0))
+        for lo in range(begin, end, rows)
+    ]
+    # slot rows 1..rows of ``f`` hold a block, slot row 0 the row above it
+    flat = np.empty((rows + 1) * (w + 2))
+    f = flat.reshape(rows + 1, w + 2)
     f[:, 0] = np.inf
     f[:, w + 1] = np.inf
     f[0, 1 : w + 1] = 0.0
-    # every w-value window of the flat table, so each row operand is one
-    # lookup: row i's band starts at offset i * (w + 2) + 1, its diagonal
-    # neighbours w + 3 - (start[i] - start[i - 1]) before that, and its
-    # vertical neighbours one slot after those
+    # every w-value window of the flat block, so each row operand is one
+    # lookup: block row t's band starts at offset t * (w + 2) + 1, its
+    # diagonal neighbours w + 3 - shift before that, and its vertical
+    # neighbours one slot after those
     band = sliding_window_view(flat, w, writeable=True)
-    row_at = np.arange(1, n + 1) * (w + 2) + 1
-    diag_at = (row_at - (w + 3) + np.diff(start)).tolist()
-    row_at = row_at.tolist()
+    row_at = (np.arange(1, rows + 1) * (w + 2) + 1).tolist()
+    # row i's bits are bytes (i - 1) * stride onwards: its match bits from
+    # bit 0 and its skip bits from bit w, each in slot order
+    stride = (2 * w + 7) // 8
+    reached = np.zeros((rows, 8 * stride), dtype=bool)
+    bits = np.empty(n * stride, dtype=np.uint8)
+    tol = 1e-9 * max(1.0, bound)
 
     # lane k, slot j holds score note j - 1 where its pitch is the k-th
     # performance pitch and inf elsewhere, so |onset - slot| is the dense
@@ -175,44 +200,42 @@ def _dp_match(
     lanes = np.full((len(pitches), m + 1), np.inf)
     np.copyto(lanes[:, 1:], score_mapped, where=score_pitch == pitches[:, None])
     windows = sliding_window_view(lanes, w, axis=1)
-    for lo in range(0, n, DP_BLOCK):
-        hi = min(n, lo + DP_BLOCK)
+    for lo, hi, shift in blocks:
+        k = hi - lo
         match = windows[lane_of[lo:hi], start[lo + 1 : hi + 1]]  # rows lo + 1 .. hi
         np.subtract(perf_on[lo:hi, None], match, out=match)
         np.abs(match, out=match)
         np.subtract(match, 2 * SKIP_PENALTY, out=match)
-        for r, d, cost in zip(row_at[lo:hi], diag_at[lo:hi], match):
-            row = band[r]
-            np.add(band[d], cost, out=row)
-            np.minimum(row, band[d + 1], out=row)
+        back = w + 3 - shift
+        for r, cost in zip(row_at[:k], match):
+            row, d = band[r], r - back
+            np.add(band[d], cost, out=cost)  # kept for the match bits
+            np.minimum(cost, band[d + 1], out=row)
             np.fmin.accumulate(row, out=row)  # minimum's values (no NaN), faster
+        # match bits: the cell within tol of its diagonal sum; skip bits:
+        # within tol of the cell above
+        here = f[1 : k + 1, 1 : w + 1]
+        np.subtract(match, tol, out=match)
+        np.greater_equal(here, match, out=reached[:k, :w])
+        np.subtract(f[:k, shift + 1 : shift + w + 1], tol, out=match)
+        np.greater_equal(here, match, out=reached[:k, w : 2 * w])
+        bits[lo * stride : hi * stride] = np.packbits(reached[:k], bitorder="little")
+        f[0] = f[k]
 
-    # the shifted values round differently from the dense recurrence's, so
-    # backtrack with a tolerance far below any meaningful cost difference
     start = start.tolist()
-    here = f.item(n, m - start[n] + 1)
-    tol = 1e-9 * max(1.0, here + (n + m) * SKIP_PENALTY)
-    perf_t, score_t = perf_on.tolist(), score_mapped.tolist()
-    perf_p, score_p = perf_pitch.tolist(), score_pitch.tolist()
+    flag = bits.data
     pairs: list[tuple[int, int]] = []
     i, j = n, m
     while i > 0 and j > 0:
-        up = j - start[i - 1] + 1  # column j's slot in row i - 1
-        if perf_p[i - 1] == score_p[j - 1]:
-            diag = f.item(i - 1, up - 1)
-            if here >= diag + (abs(perf_t[i - 1] - score_t[j - 1]) - 2 * SKIP_PENALTY) - tol:
-                pairs.append((i - 1, j - 1))
-                i -= 1
-                j -= 1
-                here = diag
-                continue
-        above = f.item(i - 1, up)
-        if here >= above - tol:
+        at, c = (i - 1) * stride, j - start[i]  # row i's bytes, column j's bit
+        if flag[at + (c >> 3)] >> (c & 7) & 1:
+            pairs.append((i - 1, j - 1))
             i -= 1
-            here = above
+            j -= 1
+        elif flag[at + ((w + c) >> 3)] >> ((w + c) & 7) & 1:
+            i -= 1
         else:
             j -= 1
-            here = f.item(i, j - start[i] + 1)
     pairs.reverse()
     return pairs
 
@@ -382,9 +405,9 @@ def align(perf: NoteList, score: NoteList) -> Alignment:
     Solved maps are remembered for the call, so a refit that revisits a
     map runs no DP pass for it, and every known path bounds the band of
     each later pass. A map whose cheapest known path reaches the proxy's
-    lower bound runs no pass either. One DP table of the dense size is
-    requested per call, but passes write only their band's share, so peak
-    memory follows the widest band rather than n * m.
+    lower bound runs no pass either. A pass keeps one block of band rows
+    and two bits per band cell, so peak memory follows the widest band at
+    a quarter byte per cell rather than n * m floats.
     """
     if len(perf) == 0 or len(score) == 0:
         raise EmptyInput("cannot align an empty note list")
@@ -399,10 +422,6 @@ def align(perf: NoteList, score: NoteList) -> Alignment:
 
     solved: dict[tuple[float, float], list[tuple[int, int]]] = {}
     passes = 0
-    # One dense-sized table serves every pass, and each pass writes only its
-    # band's share: untouched pages cost no memory, later passes fault in no
-    # new pages, and no freed table is left in the allocator's heap.
-    table = np.empty((n + 1) * (m + 3), dtype=np.float64)
 
     def solve(a: float, b: float) -> list[tuple[int, int]]:
         nonlocal passes
@@ -418,9 +437,7 @@ def align(perf: NoteList, score: NoteList) -> Alignment:
                 solved[(a, b)] = known[costs.index(bound)]
             else:
                 passes += 1
-                solved[(a, b)] = _dp_match(
-                    perf_on, perf_pitch, mapped, score_pitch, bound, table
-                )
+                solved[(a, b)] = _dp_match(perf_on, perf_pitch, mapped, score_pitch, bound)
         return solved[(a, b)]
 
     def converge(a: float, b: float):

@@ -574,7 +574,6 @@ def gated_align(perf, score):
     perf_on, perf_pitch = perf.onset, perf.pitch
     score_on, score_pitch = score.onset, score.pitch
     solved = {}
-    table = np.empty((n + 1) * (m + 3))
 
     def solve(a, b):
         if (a, b) not in solved:
@@ -583,9 +582,7 @@ def gated_align(perf, score):
             bound = min(
                 aligner._path_cost(p, perf_on, mapped) for p in [greedy, *solved.values()]
             )
-            solved[(a, b)] = aligner._dp_match(
-                perf_on, perf_pitch, mapped, score_pitch, bound, table
-            )
+            solved[(a, b)] = aligner._dp_match(perf_on, perf_pitch, mapped, score_pitch, bound)
         return solved[(a, b)]
 
     def converge(a, b):

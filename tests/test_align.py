@@ -166,10 +166,7 @@ def test_banded_dp_equals_dense_reference():
                 perfid.align._path_cost(greedy, perf_on, mapped),
                 len(perf_on) + len(score_on),
             ):
-                table = np.empty((len(perf_on) + 1) * (len(score_on) + 3))
-                got = perfid.align._dp_match(
-                    perf_on, perf_pitch, mapped, score_pitch, bound, table
-                )
+                got = perfid.align._dp_match(perf_on, perf_pitch, mapped, score_pitch, bound)
                 assert got == want, (k, (ma, mb), bound)
 
 
@@ -195,9 +192,57 @@ def test_banded_dp_equals_dense_reference_on_misfit_takes(n, m):
             perfid.align._path_cost(greedy, perf_on, mapped),
             n + m,
         ):
-            table = np.empty((n + 1) * (m + 3))
-            got = perfid.align._dp_match(perf_on, perf_pitch, mapped, score_pitch, bound, table)
+            got = perfid.align._dp_match(perf_on, perf_pitch, mapped, score_pitch, bound)
             assert got == want, ((a, b), bound)
+
+
+def tied_take(rng, n, step):
+    """Arrays of a take whose DP has cost ties: scores with repeated
+    same-pitch notes at equal onsets, and performance notes played at a
+    score note, as a same-pitch duplicate of it, or halfway between two
+    same-pitch score notes. Onsets are multiples of ``step``: on a
+    quarter-second grid every distance and sum is exact, on a tenth-second
+    grid rounding splits the ties by a few ulps."""
+    score_on = np.sort(rng.integers(0, n // 2, n)) * step
+    score_pitch = rng.choice([60, 62], n)
+    perf = []
+    for j in range(n):
+        later = np.flatnonzero(score_pitch[j + 1 :] == score_pitch[j])
+        if later.size and rng.random() < 0.4:
+            perf.append((0.5 * (score_on[j] + score_on[j + 1 + later[0]]), score_pitch[j]))
+        elif rng.random() < 0.8:
+            perf.append((score_on[j], score_pitch[j]))
+        if rng.random() < 0.15:
+            perf.append((score_on[j], score_pitch[j]))
+    perf_on, perf_pitch = (np.array(col) for col in zip(*perf))
+    return perf_on, perf_pitch, score_on, score_pitch
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_banded_dp_equals_dense_reference_on_tied_takes(monkeypatch, rows):
+    # Ties leave the backtrack's choice to its priority and tolerance, and
+    # blocks of 1, 2 and 3 rows put a block edge next to most cells.
+    for k in range(24):
+        rng = np.random.default_rng([k, rows, 26])
+        perf_on, perf_pitch, score_on, score_pitch = tied_take(rng, 10 + 3 * k, (0.25, 0.1)[k % 2])
+        n, m = len(perf_on), len(score_on)
+        lanes = perfid.align._score_lanes(score_on, score_pitch, perf_pitch)
+        for a, b in ((1.0, 0.0), (1.1, 0.3)):
+            mapped = a * score_on + b
+            want = dense_dp_pairs(perf_on, perf_pitch, mapped, score_pitch)
+            greedy = perfid.align._greedy_path(perf_on, lanes, a, b)
+            for bound in (
+                perfid.align._path_cost(want, perf_on, mapped),
+                perfid.align._path_cost(greedy, perf_on, mapped),
+                n + m,
+            ):
+                half = int((bound + 1 - abs(n - m)) // 2)
+                width = min(m + 1, abs(n - m) + 2 * half + 1)  # the band's
+                monkeypatch.setattr(
+                    perfid.align, "DP_BLOCK_CELLS", rows * width, raising=False
+                )
+                got = perfid.align._dp_match(perf_on, perf_pitch, mapped, score_pitch, bound)
+                assert got == want, (k, (a, b), bound)
 
 
 def test_no_time_map_is_solved_twice(monkeypatch):
@@ -393,23 +438,14 @@ def test_ranked_seed_is_never_costlier_than_the_gated_align():
     assert cheaper > 0
 
 
-def test_memory_stays_bounded_on_a_10k_note_take():
-    # A dense (n+1)(m+1) float64 table alone would be 763 MB here. The
-    # child reads its own high-water RSS: ru_maxrss of a spawned process
-    # starts at the spawning process's peak, which is this test runner's.
-    code = textwrap.dedent(
+def child_peak_mb(code):
+    """Run ``code`` in a new interpreter and return the VmHWM it prints last.
+
+    The child reads its own high-water RSS: ru_maxrss of a spawned process
+    starts at the spawning process's peak, which is this test runner's.
+    """
+    code = textwrap.dedent(code) + textwrap.dedent(
         """
-        from dataclasses import replace
-        import numpy as np
-        from perfid import dataset
-        from perfid.align import align
-        rng = np.random.default_rng([0, 10000])
-        score = dataset._make_score(rng, 10000)
-        style = replace(
-            dataset.default_styles(3)[0], extra_rate=0.0, missing_rate=0.0
-        )
-        perf = dataset.render_performance(score, style, rng)
-        assert len(align(perf, score).perf_idx) == 10000
         with open("/proc/self/status") as status:
             print(next(line.split()[1] for line in status if line.startswith("VmHWM")))
         """
@@ -422,8 +458,49 @@ def test_memory_stays_bounded_on_a_10k_note_take():
         env={**os.environ, "PYTHONPATH": str(Path(perfid.align.__file__).parents[1])},
         timeout=600,
     )
-    peak_mb = int(proc.stdout.split()[-1]) / 1024
+    return int(proc.stdout.split()[-1]) / 1024
+
+
+def test_memory_stays_bounded_on_a_10k_note_take():
+    # A dense (n+1)(m+1) float64 table alone would be 763 MB here.
+    peak_mb = child_peak_mb(
+        """
+        from dataclasses import replace
+        import numpy as np
+        from perfid import dataset
+        from perfid.align import align
+        rng = np.random.default_rng([0, 10000])
+        score = dataset._make_score(rng, 10000)
+        style = replace(
+            dataset.default_styles(3)[0], extra_rate=0.0, missing_rate=0.0
+        )
+        perf = dataset.render_performance(score, style, rng)
+        assert len(align(perf, score).perf_idx) == 10000
+        """
+    )
     assert peak_mb < 250, peak_mb
+
+
+def test_memory_stays_bounded_on_a_misfit_take():
+    # A take aligned against another piece's score: its first passes' bands
+    # span nearly every diagonal, where one dense float64 table is 191 MB.
+    peak_mb = child_peak_mb(
+        """
+        import numpy as np
+        from perfid import dataset
+        from perfid.align import align
+        rng = np.random.default_rng([0, 5000, 7])
+        played = dataset._make_score(rng, 5000)
+        score = dataset._make_score(rng, 5000)
+        perf = dataset.render_performance(played, dataset.hard_styles(3)[0], rng)
+        result = align(perf, score)
+        assert (result.n_perf, result.n_score) == (len(perf), len(score))
+        assert np.all(np.diff(result.perf_idx) > 0) and np.all(np.diff(result.score_idx) > 0)
+        assert np.array_equal(perf.pitch[result.perf_idx], score.pitch[result.score_idx])
+        assert result.dp_passes > 2
+        """
+    )
+    assert peak_mb < 100, peak_mb
 
 
 def test_alignment_invariants_on_random_instances():
